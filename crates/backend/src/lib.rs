@@ -321,6 +321,13 @@ pub trait MemoryBackend: Send + fmt::Debug + 'static {
     /// single-instant form; `t` must be `>=` [`now`](MemoryBackend::now)).
     fn advance_instant(&mut self, t: Time, out: &mut Vec<BackendOutput>);
 
+    /// What [`advance_instant`](MemoryBackend::advance_instant) does at an
+    /// instant with no due event — its sanitizer queue-bound check and
+    /// clock update — without touching the event queue. A pump that
+    /// skips quiet instants calls this instead, so sanitizer reports
+    /// match a pump that visits every instant.
+    fn skip_instant(&mut self, t: Time);
+
     /// Total internal events processed (simulation-throughput metric).
     fn events_processed(&self) -> u64;
 

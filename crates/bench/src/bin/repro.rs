@@ -125,9 +125,18 @@ fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
         "table1" => table1(),
         "table2" => table2(),
         "table3" => println!("{}", thermal::table3()),
-        "fig6" => println!("{}", bandwidth::figure6_table(&bandwidth::figure6(cfg, &mc))),
-        "fig7" => println!("{}", bandwidth::figure7_table(&bandwidth::figure7(cfg, &mc))),
-        "fig8" => println!("{}", bandwidth::figure8_table(&bandwidth::figure8(cfg, &mc))),
+        "fig6" => println!(
+            "{}",
+            bandwidth::figure6_table(&bandwidth::figure6(cfg, &mc))
+        ),
+        "fig7" => println!(
+            "{}",
+            bandwidth::figure7_table(&bandwidth::figure7(cfg, &mc))
+        ),
+        "fig8" => println!(
+            "{}",
+            bandwidth::figure8_table(&bandwidth::figure8(cfg, &mc))
+        ),
         "fig9" | "fig10" => {
             for kind in RequestKind::ALL {
                 let outcomes = thermal::figure9_10(cfg, kind, &mc);
@@ -207,10 +216,16 @@ fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
             println!("{}", read_ratio::read_ratio_table(&pts));
         }
         "kernels" => {
-            println!("{}", kernels::kernels_table(&kernels::run_kernels(cfg, &mc)));
+            println!(
+                "{}",
+                kernels::kernels_table(&kernels::run_kernels(cfg, &mc))
+            );
         }
         "mapping" => {
-            println!("{}", mapping::mapping_table(&mapping::mapping_ablation(cfg, &mc)));
+            println!(
+                "{}",
+                mapping::mapping_table(&mapping::mapping_ablation(cfg, &mc))
+            );
         }
         "faults" => {
             let pts = faults::ber_sweep(cfg, &faults::BER_AXIS, &mc);
@@ -222,9 +237,7 @@ fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
                 generations::generations_table(&generations::generation_sweep(&mc))
             );
         }
-        other => eprintln!(
-            "unknown target '{other}' (try: table1..3, fig6..fig18, baseline, readratio, kernels, mapping, all)"
-        ),
+        other => unreachable!("cmd_figure validated target '{other}'"),
     }
 }
 
@@ -906,6 +919,16 @@ fn cmd_figure(cfg: &SystemConfig, args: &[String]) {
     }
     if targets.is_empty() {
         usage();
+    }
+    if let Some(bad) = targets
+        .iter()
+        .find(|t| *t != "all" && !ALL_TARGETS.contains(&t.as_str()))
+    {
+        eprintln!(
+            "unknown target '{bad}' (try: {}, all)",
+            ALL_TARGETS.join(", ")
+        );
+        std::process::exit(2);
     }
     for arg in &targets {
         if arg == "all" {

@@ -99,6 +99,10 @@ impl MemoryBackend for AnyBackend {
         delegate!(self, d => MemoryBackend::advance_instant(d, t, out))
     }
 
+    fn skip_instant(&mut self, t: Time) {
+        delegate!(self, d => MemoryBackend::skip_instant(d, t))
+    }
+
     fn events_processed(&self) -> u64 {
         delegate!(self, d => MemoryBackend::events_processed(d))
     }

@@ -424,6 +424,75 @@ fn send_via(port: &mut Port, outbox: &mut Vec<Envelope<HopMsg>>, at: Time, msg: 
     });
 }
 
+/// A shard's hop agenda: which of its sub-links have work, and from
+/// when, kept in step with port state so that neither the per-instant
+/// sweep nor [`CubeShard::next_time`] has to rescan the ports. Sub-link
+/// `j = pi * links + l` is sub-link `l` of port `pi`.
+///
+/// Invariant: after every mutation of a sub-link's port state (mailbox
+/// delivery, host submission, device-output routing, request or response
+/// forwarding, each sweep step) its entries are recomputed from that
+/// state by [`HopAgenda::refresh`]. The agenda is therefore never a
+/// prediction, only a summary, and a sub-link it reports idle would make
+/// no progress if visited.
+#[derive(Debug)]
+struct HopAgenda {
+    links: usize,
+    /// Bit `j` is set while sub-link `j` has queued arrivals (requests,
+    /// possibly parked head-of-line, or responses).
+    rx: u64,
+    /// `ready[2j]` and `ready[2j + 1]`: the earliest instant sub-link
+    /// `j`'s request and response serializer can start a transfer —
+    /// `busy_until` while it has backlog (and, for requests, credit),
+    /// else [`Time::MAX`].
+    ready: Vec<Time>,
+}
+
+impl HopAgenda {
+    fn new(ports: usize, links: usize) -> Self {
+        assert!(ports * links <= 64, "rx bitmask holds at most 64 sub-links");
+        HopAgenda {
+            links,
+            rx: 0,
+            ready: vec![Time::MAX; 2 * ports * links],
+        }
+    }
+
+    /// Recomputes sub-link `l` of port `pi` from `port`'s state.
+    fn refresh(&mut self, port: &Port, pi: usize, l: usize) {
+        let j = pi * self.links + l;
+        let tx = &port.req_tx[l];
+        self.ready[2 * j] = if tx.credits > 0 && tx.link.ingress_backlog() > 0 {
+            tx.busy_until
+        } else {
+            Time::MAX
+        };
+        let rtx = &port.resp_tx[l];
+        self.ready[2 * j + 1] = if rtx.link.egress_backlog() > 0 {
+            rtx.busy_until
+        } else {
+            Time::MAX
+        };
+        if port.req_rx[l].is_empty() && port.resp_rx[l].is_empty() {
+            self.rx &= !(1 << j);
+        } else {
+            self.rx |= 1 << j;
+        }
+    }
+
+    /// The earliest pending serializer start, if any.
+    fn next_start(&self) -> Option<Time> {
+        self.ready.iter().copied().min().filter(|&t| t < Time::MAX)
+    }
+
+    /// The first sub-link at or after `from` with work due at `t`: queued
+    /// arrivals, or a serializer that can start by `t`.
+    fn next_due(&self, from: usize, t: Time) -> Option<usize> {
+        (from..self.ready.len() / 2)
+            .find(|&j| self.rx & (1 << j) != 0 || self.ready[2 * j].min(self.ready[2 * j + 1]) <= t)
+    }
+}
+
 /// The transmit sink one sharded host sees: local requests go straight to
 /// the home cube's device; remote requests enter the request serializer
 /// toward their target. Host flow control sees the *tightest* window
@@ -434,6 +503,7 @@ struct ShardSink<'a, B: MemoryBackend> {
     topo: &'a Topology,
     device: &'a mut B,
     ports: &'a mut [Port],
+    agenda: &'a mut HopAgenda,
     outbox: &'a mut Vec<Envelope<HopMsg>>,
     hop_tracer: &'a mut Tracer,
 }
@@ -454,11 +524,12 @@ impl<B: MemoryBackend> LinkSink for ShardSink<'_, B> {
         }
         let id = req.id.value();
         let next = self.topo.next_shard(self.shard, dst);
-        let port = self
+        let pi = self
             .ports
-            .iter_mut()
-            .find(|p| p.peer == next)
+            .iter()
+            .position(|p| p.peer == next)
             .expect("route leads to an adjacent port");
+        let port = &mut self.ports[pi];
         port.req_tx[link].link.enqueue_ingress(req, now)?;
         // The host's LinkTx span ended at `now`; the hop stage owns the
         // request from here until its serialized arrival at the peer.
@@ -468,6 +539,7 @@ impl<B: MemoryBackend> LinkSink for ShardSink<'_, B> {
                 .finish(r.id.value(), Stage::HopLink.index(), done);
             send_via(port, self.outbox, done, HopMsg::Req { l: link, req: r });
         }
+        self.agenda.refresh(port, pi, link);
         Ok(())
     }
 }
@@ -486,6 +558,8 @@ struct CubeShard<B: MemoryBackend = HmcDevice> {
     device: B,
     sampler: Option<MetricsSampler>,
     ports: Vec<Port>,
+    /// Which sub-links of `ports` have work, and from when.
+    agenda: HopAgenda,
     inbox: Mailbox<HopMsg>,
     outbox: Vec<Envelope<HopMsg>>,
     /// Local clock: the last instant this shard pumped.
@@ -514,41 +588,31 @@ impl<B: MemoryBackend> CubeShard<B> {
     }
 
     /// Earliest instant at which this shard has work: a host or device
-    /// event, an undelivered mailbox message, a pending transmit start,
-    /// or a metrics sample. Parked request heads are deliberately
-    /// excluded — they retry when the event that frees their next stage
-    /// fires. Used only on the multi-cube path (the single-cube pump
-    /// mirrors [`crate::System`] exactly, sampler excluded).
+    /// event, an undelivered mailbox message, a pending transmit start
+    /// (from the hop agenda), or a metrics sample. Parked request heads
+    /// are deliberately excluded — they retry when the event that frees
+    /// their next stage fires. Used only on the multi-cube path (the
+    /// single-cube pump mirrors [`crate::System`] exactly, sampler
+    /// excluded).
     fn next_time(&self) -> Option<Time> {
-        let mut next: Option<Time> = None;
-        let mut fold = |c: Option<Time>| {
-            if let Some(c) = c {
-                next = Some(next.map_or(c, |n: Time| n.min(c)));
-            }
-        };
-        fold(self.host.next_time());
-        fold(self.device.next_time());
-        fold(self.inbox.peek_at());
-        fold(self.sampler.as_ref().and_then(|s| s.due_before(Time::MAX)));
-        for p in &self.ports {
-            for l in 0..self.links {
-                let tx = &p.req_tx[l];
-                if tx.credits > 0 && tx.link.ingress_backlog() > 0 {
-                    fold(Some(tx.busy_until));
-                }
-                let rtx = &p.resp_tx[l];
-                if rtx.link.egress_backlog() > 0 {
-                    fold(Some(rtx.busy_until));
-                }
-            }
-        }
-        next
+        [
+            self.host.next_time(),
+            self.device.next_time(),
+            self.inbox.peek_at(),
+            self.sampler.as_ref().and_then(|s| s.due_before(Time::MAX)),
+            self.agenda.next_start(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Processes one instant `t` of this shard's timeline: mailbox
     /// deliveries, host events, device events, hop-link progress, stall
     /// credits, and metrics samples — the same order per instant as the
-    /// serial chain pump always used.
+    /// serial chain pump always used. Only components with work due at
+    /// `t` are stepped; the others see only the bookkeeping their step
+    /// would have done at a quiet instant.
     fn pump_instant(&mut self, t: Time) {
         // 1. Cross-shard messages due by now, in total (at, edge, dir,
         //    seq) order. Credits open transmit windows; arrivals queue on
@@ -559,26 +623,36 @@ impl<B: MemoryBackend> CubeShard<B> {
                 .iter()
                 .position(|p| p.edge == key.edge as usize)
                 .expect("message addressed to an owned edge");
-            match msg {
+            let port = &mut self.ports[pi];
+            let l = match msg {
                 HopMsg::Req { l, req } => {
                     // The hop stage keeps owning the request while it
                     // waits (possibly parked) for its next local stage.
                     self.hop_tracer.begin(req.id.value(), key.at);
-                    self.ports[pi].req_rx[l].push_back((key.at, req));
+                    port.req_rx[l].push_back((key.at, req));
+                    l
                 }
-                HopMsg::Resp { l, pkt } => self.ports[pi].resp_rx[l].push_back((key.at, pkt)),
-                HopMsg::Credit { l } => self.ports[pi].req_tx[l].credits += 1,
-            }
+                HopMsg::Resp { l, pkt } => {
+                    port.resp_rx[l].push_back((key.at, pkt));
+                    l
+                }
+                HopMsg::Credit { l } => {
+                    port.req_tx[l].credits += 1;
+                    l
+                }
+            };
+            self.agenda.refresh(port, pi, l);
         }
         // 2. Host first: its submissions at instants <= t reach a device
         //    (or hop serializer) whose clock has not passed t yet.
-        {
+        if self.host.next_time() == Some(t) {
             let CubeShard {
                 idx,
                 topo,
                 host,
                 device,
                 ports,
+                agenda,
                 outbox,
                 hop_tracer,
                 ..
@@ -588,76 +662,40 @@ impl<B: MemoryBackend> CubeShard<B> {
                 topo,
                 device,
                 ports,
+                agenda,
                 outbox,
                 hop_tracer,
             };
             host.advance_instant(t, &mut sink);
+        } else {
+            self.host.skip_instant(t);
         }
-        // 3. Device events; responses route to the local host or back
-        //    into the chain toward their origin cube.
-        let mut outputs = std::mem::take(&mut self.outputs);
-        outputs.clear();
-        self.device.advance_instant(t, &mut outputs);
-        for o in &outputs {
-            self.route_device_output(o);
+        // 3. Device events (including any the host step just scheduled
+        //    at `t`); responses route to the local host or back into the
+        //    chain toward their origin cube.
+        if self.device.next_time() == Some(t) {
+            let mut outputs = std::mem::take(&mut self.outputs);
+            outputs.clear();
+            self.device.advance_instant(t, &mut outputs);
+            for o in &outputs {
+                self.route_device_output(o);
+            }
+            self.outputs = outputs;
+        } else {
+            self.device.skip_instant(t);
         }
-        self.outputs = outputs;
-        // 4. Hop progress: drain arrivals and restart serializers until a
-        //    full sweep makes no progress, so same-instant head-of-line
-        //    unblocking is observed deterministically in port order.
+        // 4. Hop progress: visit the sub-links the agenda reports due, in
+        //    port-then-link order, until a full sweep makes no progress,
+        //    so same-instant head-of-line unblocking is observed
+        //    deterministically in port order. A sub-link the agenda
+        //    skips has nothing queued and no serializer able to start.
         let mut progress = true;
         while progress {
             progress = false;
-            for pi in 0..self.ports.len() {
-                for l in 0..self.links {
-                    // Arrived requests: hand each to the device or the
-                    // next hop; the head parks on downstream-full and the
-                    // sender's credit returns one lookahead later.
-                    while let Some(&(at, req)) = self.ports[pi].req_rx[l].front() {
-                        if self.try_deliver_request(l, req, t).is_err() {
-                            break;
-                        }
-                        self.hol_parked += t.since(at);
-                        self.ports[pi].req_rx[l].pop_front();
-                        let la = self.ports[pi].lookahead;
-                        send_via(
-                            &mut self.ports[pi],
-                            &mut self.outbox,
-                            t + la,
-                            HopMsg::Credit { l },
-                        );
-                        progress = true;
-                    }
-                    // Arrived responses: deliver to the local host or
-                    // re-serialize toward the origin. Never blocks.
-                    while let Some((at, pkt)) = self.ports[pi].resp_rx[l].pop_front() {
-                        self.deliver_response(l, pkt, at);
-                        progress = true;
-                    }
-                    // Restart any serializer freed this instant.
-                    if let Some((done, r)) = self.ports[pi].req_tx[l].try_start(t) {
-                        self.hop_tracer
-                            .finish(r.id.value(), Stage::HopLink.index(), done);
-                        send_via(
-                            &mut self.ports[pi],
-                            &mut self.outbox,
-                            done,
-                            HopMsg::Req { l, req: r },
-                        );
-                        progress = true;
-                    }
-                    if let Some((done, p)) = self.ports[pi].resp_tx[l].try_start(t) {
-                        self.hop_tracer
-                            .finish(p.req.id.value(), Stage::HopLink.index(), done);
-                        send_via(
-                            &mut self.ports[pi],
-                            &mut self.outbox,
-                            done,
-                            HopMsg::Resp { l, pkt: p },
-                        );
-                        progress = true;
-                    }
-                }
+            let mut from = 0;
+            while let Some(j) = self.agenda.next_due(from, t) {
+                progress |= self.step_sub_link(j / self.links, j % self.links, t);
+                from = j + 1;
             }
         }
         // 5. Wake a stalled host if any fan-out window opened.
@@ -686,6 +724,53 @@ impl<B: MemoryBackend> CubeShard<B> {
             self.sampler = Some(smp);
         }
         self.local_now = self.local_now.max(t);
+    }
+
+    /// One sweep step of sub-link `l` of port `pi` at `t`: delivers its
+    /// arrivals and restarts its serializers. Returns whether anything
+    /// moved.
+    fn step_sub_link(&mut self, pi: usize, l: usize, t: Time) -> bool {
+        let mut progress = false;
+        // Arrived requests: hand each to the device or the next hop; the
+        // head parks on downstream-full and the sender's credit returns
+        // one lookahead later.
+        while let Some(&(at, req)) = self.ports[pi].req_rx[l].front() {
+            if self.try_deliver_request(l, req, t).is_err() {
+                break;
+            }
+            self.hol_parked += t.since(at);
+            self.ports[pi].req_rx[l].pop_front();
+            let la = self.ports[pi].lookahead;
+            send_via(
+                &mut self.ports[pi],
+                &mut self.outbox,
+                t + la,
+                HopMsg::Credit { l },
+            );
+            progress = true;
+        }
+        // Arrived responses: deliver to the local host or re-serialize
+        // toward the origin. Never blocks.
+        while let Some((at, pkt)) = self.ports[pi].resp_rx[l].pop_front() {
+            self.deliver_response(l, pkt, at);
+            progress = true;
+        }
+        // Restart any serializer freed this instant.
+        let port = &mut self.ports[pi];
+        if let Some((done, r)) = port.req_tx[l].try_start(t) {
+            self.hop_tracer
+                .finish(r.id.value(), Stage::HopLink.index(), done);
+            send_via(port, &mut self.outbox, done, HopMsg::Req { l, req: r });
+            progress = true;
+        }
+        if let Some((done, p)) = port.resp_tx[l].try_start(t) {
+            self.hop_tracer
+                .finish(p.req.id.value(), Stage::HopLink.index(), done);
+            send_via(port, &mut self.outbox, done, HopMsg::Resp { l, pkt: p });
+            progress = true;
+        }
+        self.agenda.refresh(port, pi, l);
+        progress
     }
 
     /// Records the chain-level gauges of this shard: per-edge hop-link
@@ -727,19 +812,19 @@ impl<B: MemoryBackend> CubeShard<B> {
         // The device tracer's LinkEgress span ended at `o.at`; the hop
         // stage owns the response from here until its wire arrival.
         self.hop_tracer.begin(o.resp.id.value(), o.at);
-        self.ports[pi].resp_tx[o.link]
-            .link
-            .push_egress(repack(&o.resp));
-        if let Some((done, pkt)) = self.ports[pi].resp_tx[o.link].try_start(o.at) {
+        let port = &mut self.ports[pi];
+        port.resp_tx[o.link].link.push_egress(repack(&o.resp));
+        if let Some((done, pkt)) = port.resp_tx[o.link].try_start(o.at) {
             self.hop_tracer
                 .finish(pkt.req.id.value(), Stage::HopLink.index(), done);
             send_via(
-                &mut self.ports[pi],
+                port,
                 &mut self.outbox,
                 done,
                 HopMsg::Resp { l: o.link, pkt },
             );
         }
+        self.agenda.refresh(port, pi, o.link);
     }
 
     /// Attempts to move an arrived request into its next stage (the local
@@ -757,20 +842,17 @@ impl<B: MemoryBackend> CubeShard<B> {
         }
         let next = self.topo.next_shard(self.idx, dst);
         let pi = self.port_toward(next);
-        self.ports[pi].req_tx[l]
+        let port = &mut self.ports[pi];
+        port.req_tx[l]
             .link
             .enqueue_ingress(req, now)
             .map_err(|_| ())?;
-        if let Some((done, r)) = self.ports[pi].req_tx[l].try_start(now) {
+        if let Some((done, r)) = port.req_tx[l].try_start(now) {
             self.hop_tracer
                 .finish(r.id.value(), Stage::HopLink.index(), done);
-            send_via(
-                &mut self.ports[pi],
-                &mut self.outbox,
-                done,
-                HopMsg::Req { l, req: r },
-            );
+            send_via(port, &mut self.outbox, done, HopMsg::Req { l, req: r });
         }
+        self.agenda.refresh(port, pi, l);
         Ok(())
     }
 
@@ -790,17 +872,14 @@ impl<B: MemoryBackend> CubeShard<B> {
         // Pass-through forward: the hop stage owns the response from its
         // arrival here until it finishes the next serialization.
         self.hop_tracer.begin(pkt.req.id.value(), at);
-        self.ports[pi].resp_tx[l].link.push_egress(pkt);
-        if let Some((done, p)) = self.ports[pi].resp_tx[l].try_start(at) {
+        let port = &mut self.ports[pi];
+        port.resp_tx[l].link.push_egress(pkt);
+        if let Some((done, p)) = port.resp_tx[l].try_start(at) {
             self.hop_tracer
                 .finish(p.req.id.value(), Stage::HopLink.index(), done);
-            send_via(
-                &mut self.ports[pi],
-                &mut self.outbox,
-                done,
-                HopMsg::Resp { l, pkt: p },
-            );
+            send_via(port, &mut self.outbox, done, HopMsg::Resp { l, pkt: p });
         }
+        self.agenda.refresh(port, pi, l);
     }
 }
 
@@ -871,8 +950,9 @@ impl ChainSystem {
     ///
     /// * a host sharded over the whole topology, with request-id base
     ///   `s << 48` (ids double as stateless response-routing tags), and a
-    ///   per-cube generator-seed salt (zero for cube 0, so a single-cube
-    ///   topology draws the exact single-system streams);
+    ///   per-cube generator-seed salt folded into the configured
+    ///   `rng_salt` (the fold is the identity for cube 0, so a
+    ///   single-cube topology draws the exact single-system streams);
     /// * a device whose link-fault seeds are salted per cube (base seed
     ///   unchanged for cube 0);
     /// * pass-through hop serializers toward its neighbors, one per
@@ -916,7 +996,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
             let mut hc = cfg.host.clone();
             hc.shard = shard;
             hc.request_id_base = (s as u64) << ORIGIN_SHIFT;
-            hc.rng_salt = (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            hc.rng_salt = cfg.host.rng_salt ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let host = Host::new(hc);
             let device = factory(s, &cfg);
             let mut ports = Vec::new();
@@ -961,6 +1041,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
                 host,
                 device,
                 sampler: None,
+                agenda: HopAgenda::new(ports.len(), links),
                 ports,
                 inbox: Mailbox::new(),
                 outbox: Vec::new(),
@@ -1459,6 +1540,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
                     host,
                     device,
                     ports,
+                    agenda,
                     outbox,
                     hop_tracer,
                     ..
@@ -1468,6 +1550,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
                     topo,
                     device,
                     ports,
+                    agenda,
                     outbox,
                     hop_tracer,
                 };

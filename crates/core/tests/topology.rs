@@ -33,8 +33,8 @@ struct Fingerprint {
     now_ps: u64,
 }
 
-fn run_system(w: &Workload) -> Fingerprint {
-    let mut sys = System::new(SystemConfig::default());
+fn run_system(cfg: &SystemConfig, w: &Workload) -> Fingerprint {
+    let mut sys = System::new(cfg.clone());
     sys.host_mut().apply_workload(w);
     sys.host_mut().start(Time::ZERO);
     sys.step_until(Time::ZERO + WARMUP);
@@ -59,8 +59,8 @@ fn run_system(w: &Workload) -> Fingerprint {
     }
 }
 
-fn run_chain(w: &Workload) -> Fingerprint {
-    let mut sys = ChainSystem::new(SystemConfig::default(), Topology::single());
+fn run_chain(cfg: &SystemConfig, w: &Workload) -> Fingerprint {
+    let mut sys = ChainSystem::new(cfg.clone(), Topology::single());
     sys.host_mut(0).apply_workload(w);
     sys.host_mut(0).start(Time::ZERO);
     sys.step_until(Time::ZERO + WARMUP);
@@ -94,9 +94,10 @@ fn single_cube_chain_is_bit_identical_to_system() {
         Workload::mixed(RequestSize::new(64).expect("size"), 0.7),
         Workload::read_stream(512, RequestSize::new(32).expect("size")),
     ];
+    let cfg = SystemConfig::default();
     for w in &workloads {
-        let a = run_system(w);
-        let b = run_chain(w);
+        let a = run_system(&cfg, w);
+        let b = run_chain(&cfg, w);
         assert_eq!(a, b, "single-cube chain diverged from System for {w:?}");
         // Streams finish inside the warmup, so only the continuous
         // workloads must show traffic in the measurement window; the
@@ -106,6 +107,26 @@ fn single_cube_chain_is_bit_identical_to_system() {
         }
         assert!(a.events > 0, "no events processed");
     }
+}
+
+#[test]
+fn single_cube_chain_honours_the_host_rng_salt() {
+    // The chain folds its per-cube salt into the configured one, so a
+    // one-cube chain draws the same salted streams as `System`.
+    let w = Workload::full_scale(RequestKind::ReadOnly, RequestSize::new(128).expect("size"));
+    let mut cfg = SystemConfig::default();
+    cfg.host.rng_salt = 0x5EED;
+    let salted = run_system(&cfg, &w);
+    assert_eq!(
+        salted,
+        run_chain(&cfg, &w),
+        "one-cube chain ignored the salt"
+    );
+    assert_ne!(
+        salted,
+        run_system(&SystemConfig::default(), &w),
+        "the salt moved nothing — test is vacuous"
+    );
 }
 
 #[test]

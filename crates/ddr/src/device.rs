@@ -378,6 +378,12 @@ impl MemoryBackend for DdrDevice {
         self.now = self.now.max(t);
     }
 
+    fn skip_instant(&mut self, t: Time) {
+        self.sanitizer
+            .check_queue_bound("ddr events", self.events.len(), self.event_bound, t);
+        self.now = self.now.max(t);
+    }
+
     fn events_processed(&self) -> u64 {
         self.events.total_popped()
     }

@@ -566,6 +566,17 @@ impl Host {
         self.now = self.now.max(t);
     }
 
+    /// What [`advance_instant`](Host::advance_instant) does at an instant
+    /// with no due host event — the queue-bound check and the clock
+    /// update — without touching the event queue. A pump that skips
+    /// quiet instants calls this instead, so sanitizer check counts and
+    /// the host clock match a pump that visits every instant.
+    pub fn skip_instant(&mut self, t: Time) {
+        self.sanitizer
+            .check_queue_bound("host events", self.events.len(), self.event_bound, t);
+        self.now = self.now.max(t);
+    }
+
     /// Total host events processed since construction.
     pub fn events_processed(&self) -> u64 {
         self.events.total_popped()

@@ -423,6 +423,14 @@ impl HmcDevice {
         self.now = self.now.max(t);
     }
 
+    /// [`advance_instant`](HmcDevice::advance_instant) at an instant with
+    /// no due event: the queue-bound check and the clock update only.
+    pub fn skip_instant(&mut self, t: Time) {
+        self.sanitizer
+            .check_queue_bound("device events", self.events.len(), self.event_bound, t);
+        self.now = self.now.max(t);
+    }
+
     /// Total device events processed since construction.
     pub fn events_processed(&self) -> u64 {
         self.events.total_popped()
@@ -1105,6 +1113,10 @@ impl mem_backend::MemoryBackend for HmcDevice {
 
     fn advance_instant(&mut self, t: Time, out: &mut Vec<DeviceOutput>) {
         HmcDevice::advance_instant(self, t, out);
+    }
+
+    fn skip_instant(&mut self, t: Time) {
+        HmcDevice::skip_instant(self, t);
     }
 
     fn events_processed(&self) -> u64 {
