@@ -27,6 +27,47 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// Eight queues stepped in turn through 8 ns windows, each carrying a
+/// steady ~1 event/ns load of 64 B payloads rescheduled 8 ns–1 µs ahead
+/// (~512 pending per queue): the access pattern of an 8-cube chain pumped
+/// in PDES epochs. Unlike the single cache-hot queue above, it measures
+/// how much memory each queue's event store pulls through the cache per
+/// window. One iteration is 1 µs of simulated time on every queue.
+fn bench_event_queue_interleaved(c: &mut Criterion) {
+    const QUEUES: usize = 8;
+    const WINDOW_PS: u64 = 8_000;
+    const WINDOWS: u64 = 125;
+    let mut rng = SplitMix64::new(11);
+    let mut queues: Vec<EventQueue<[u64; 8]>> = (0..QUEUES)
+        .map(|_| {
+            let mut q = EventQueue::new();
+            for i in 0..512u64 {
+                q.push(Time::from_ps(i * 1_000 + rng.next_below(1_000)), [i; 8]);
+            }
+            q
+        })
+        .collect();
+    let mut now = 0u64;
+    let mut batch = Vec::new();
+    c.bench_function("event_queue_interleaved_8x", |b| {
+        b.iter(|| {
+            let mut sum = 0u64;
+            for _ in 0..WINDOWS {
+                now += WINDOW_PS;
+                for q in &mut queues {
+                    q.pop_until(Time::from_ps(now - 1), &mut batch);
+                    for (t, ev) in batch.drain(..) {
+                        sum = sum.wrapping_add(ev[0]);
+                        let dt = WINDOW_PS + rng.next_below(1_008_000);
+                        q.push(Time::from_ps(t.as_ps() + dt), ev);
+                    }
+                }
+            }
+            black_box(sum)
+        })
+    });
+}
+
 fn bench_full_system(c: &mut Criterion) {
     let mut g = c.benchmark_group("full_system");
     g.sample_size(10);
@@ -98,5 +139,11 @@ fn bench_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_event_queue, bench_full_system, bench_sweep);
+criterion_group!(
+    benches,
+    bench_event_queue,
+    bench_event_queue_interleaved,
+    bench_full_system,
+    bench_sweep
+);
 criterion_main!(benches);

@@ -656,7 +656,8 @@ fn run_sanitize(cfg: &SystemConfig, json_out: Option<&str>) -> bool {
 
 /// Runs one built-in fault scenario (or all of them) with the sanitizer
 /// armed and prints the degraded-mode table plus each sanitizer report.
-/// Returns `false` if any scenario saw a violation or failed to drain.
+/// Returns `false` if any scenario saw a violation or failed to drain;
+/// an unknown scenario name exits 2 before anything runs.
 fn run_faults(cfg: &SystemConfig, which: &str, json_out: Option<&str>) -> bool {
     use sim_engine::FaultScenario;
     let mc = bench_mc();
@@ -669,7 +670,7 @@ fn run_faults(cfg: &SystemConfig, which: &str, json_out: Option<&str>) -> bool {
             "unknown scenario '{which}' (built-ins: {}, or 'all')",
             FaultScenario::builtin_names().join(", ")
         );
-        return false;
+        std::process::exit(2);
     };
     let outcomes: Vec<_> = names
         .iter()
@@ -701,7 +702,8 @@ fn run_faults(cfg: &SystemConfig, which: &str, json_out: Option<&str>) -> bool {
 /// per-tenant SLO conformance table. With `--faults <scenario>` it runs
 /// a single 1.5x-saturation point composed with that fault scenario and
 /// the host robustness layer instead. Returns `false` on any sanitizer
-/// violation or failed drain.
+/// violation or failed drain; bad arguments (unknown policy or scenario,
+/// `--cubes` outside 1..=8) exit 2 before anything runs.
 #[allow(clippy::too_many_lines)]
 fn run_openloop(cfg: &SystemConfig, args: &[String], json_out: Option<&str>) -> bool {
     use hmc_core::hmc_host::ShedPolicy;
@@ -739,7 +741,7 @@ fn run_openloop(cfg: &SystemConfig, args: &[String], json_out: Option<&str>) -> 
                             "unknown scenario '{name}' (built-ins: {})",
                             FaultScenario::builtin_names().join(", ")
                         );
-                        return false;
+                        std::process::exit(2);
                     }
                 }
             }
@@ -751,10 +753,14 @@ fn run_openloop(cfg: &SystemConfig, args: &[String], json_out: Option<&str>) -> 
                         "unknown policy '{p}' (policies: {}, or 'all')",
                         ShedPolicy::ALL.map(|p| p.label()).join(", ")
                     );
-                    return false;
+                    std::process::exit(2);
                 }
             },
         }
+    }
+    if !(1..=8).contains(&cubes) {
+        eprintln!("--cubes must be in 1..=8 (the CUB field addresses 8 cubes)");
+        std::process::exit(2);
     }
     let mut ok = true;
     if let Some(scenario) = scenario {

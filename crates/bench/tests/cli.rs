@@ -48,3 +48,39 @@ fn unknown_command_and_no_command_exit_2() {
         assert!(err.contains("usage: repro"), "{err}");
     }
 }
+
+#[test]
+fn openloop_cube_count_outside_1_to_8_exits_2() {
+    for cubes in ["0", "9"] {
+        let out = repro(&["openloop", "--quick", "--cubes", cubes]);
+        assert_eq!(out.status.code(), Some(2), "--cubes {cubes}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--cubes must be in 1..=8"), "{err}");
+        assert!(out.stdout.is_empty(), "--cubes {cubes} ran a sweep");
+    }
+}
+
+#[test]
+fn openloop_unknown_policy_exits_2() {
+    let out = repro(&["openloop", "fastest-first"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown policy 'fastest-first'"), "{err}");
+}
+
+#[test]
+fn openloop_unknown_fault_scenario_exits_2() {
+    let out = repro(&["openloop", "--faults", "meteor-strike"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown scenario 'meteor-strike'"), "{err}");
+}
+
+#[test]
+fn faults_unknown_scenario_exits_2() {
+    let out = repro(&["faults", "meteor-strike"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown scenario 'meteor-strike'"), "{err}");
+    assert!(out.stdout.is_empty(), "a scenario ran before the rejection");
+}

@@ -10,6 +10,17 @@
 //! a word-scan plus a tiny in-bucket sort instead of a `log n` chain of
 //! tuple comparisons. Far-future events overflow into a small heap and
 //! migrate into the wheel as simulated time approaches them.
+//!
+//! Every pending event, wherever it is scheduled, lives in one slab per
+//! queue: a `Vec` of slots recycled through a LIFO free list, so the slab
+//! never holds more slots than the queue's peak pending count and the
+//! most recently freed (cache-hot) slot is the next one filled. A wheel
+//! bucket is an intrusive singly linked list of slot indices (a `u32`
+//! head/tail pair plus a `next` field in each slot), and the staging
+//! buffer and overflow heap carry only `(time, slot)` / `(time, seq,
+//! slot)` keys. The memory a queue touches per simulated microsecond is
+//! therefore the slab plus 8 KiB of bucket ends, not a thousand separately
+//! allocated buckets each keeping its peak capacity.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -30,6 +41,9 @@ const DIRTY: u64 = u64::MAX;
 /// Peek-cache sentinel: the queue is empty.
 const EMPTY: u64 = u64::MAX - 1;
 
+/// Null slot index: ends a bucket list or the free list.
+const NIL: u32 = u32::MAX;
+
 /// A discrete-event queue: events pop in non-decreasing time order, and
 /// events scheduled for the same instant pop in insertion order
 /// (FIFO-stable), which keeps simulations deterministic.
@@ -47,21 +61,24 @@ const EMPTY: u64 = u64::MAX - 1;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Events already extracted into exact `(time, seq)` order; always the
-    /// earliest region of the queue. Refilled from the wheel one bucket at
-    /// a time.
-    now_buf: VecDeque<(Time, u64, E)>,
-    /// The ring of near-future buckets; slot `abs & MASK` holds events
+    /// Storage for every pending event's payload and key.
+    slab: Slab<E>,
+    /// `(time, slot)` of events already extracted into exact `(time, seq)`
+    /// order; always the earliest region of the queue. Refilled from the
+    /// wheel one bucket at a time.
+    now_buf: VecDeque<(Time, u32)>,
+    /// The ring of near-future buckets; slot `abs & MASK` lists events
     /// whose coarse bucket index `abs` lies in
     /// `(active_abs, active_abs + BUCKETS]`.
-    wheel: Vec<Vec<(Time, u64, E)>>,
+    wheel: Box<[Bucket; BUCKETS]>,
     /// One bit per wheel slot: set iff the slot's bucket is non-empty.
     occupied: [u64; WORDS],
     /// Coarse bucket index of the most recently materialized bucket; the
     /// wheel window starts just past it. Only ever advances.
     active_abs: u64,
-    /// Far-future events (beyond the wheel horizon at push time).
-    overflow: BinaryHeap<Entry<E>>,
+    /// Far-future events (beyond the wheel horizon at push time), keyed
+    /// by `(time, seq)` with the slot index riding along.
+    overflow: BinaryHeap<Reverse<(Time, u64, u32)>>,
     seq: u64,
     len: usize,
     popped: u64,
@@ -73,26 +90,86 @@ pub struct EventQueue<E> {
     cached_peek: Cell<u64>,
 }
 
-#[derive(Debug)]
-struct Entry<E> {
-    key: Reverse<(Time, u64)>,
-    event: E,
+/// One wheel bucket: the ends of its intrusive list of slab slots, in
+/// push (or overflow-migration) order; [`NIL`] when empty.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
+const EMPTY_BUCKET: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
+/// One slab entry. `next` links the slot into its wheel bucket while the
+/// event is pending, or into the free list once it has popped.
+#[derive(Debug)]
+struct Slot<E> {
+    at: Time,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// Event storage with LIFO slot reuse.
+#[derive(Debug)]
+struct Slab<E> {
+    slots: Vec<Slot<E>>,
+    /// Head of the free list threaded through `Slot::next`.
+    free: u32,
 }
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+
+impl<E> Slab<E> {
+    /// Stores an event, unlinked, and returns its slot index.
+    fn insert(&mut self, at: Time, seq: u64, event: E) -> u32 {
+        let slot = Slot {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free != NIL {
+            let i = self.free;
+            let s = &mut self.slots[i as usize];
+            self.free = s.next;
+            *s = slot;
+            return i;
+        }
+        let i = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("event slab exceeds u32 slot indices");
+        self.slots.push(slot);
+        i
+    }
+
+    /// Takes the event out of slot `i` and pushes the slot on the free list.
+    fn remove(&mut self, i: u32) -> E {
+        let s = &mut self.slots[i as usize];
+        s.next = self.free;
+        self.free = i;
+        s.event.take().expect("removed slot holds a pending event")
+    }
+
+    /// Walks the bucket list starting at `head`, yielding `(index, slot)`.
+    fn list(&self, head: u32) -> impl Iterator<Item = (u32, &Slot<E>)> {
+        let mut i = head;
+        std::iter::from_fn(move || {
+            if i == NIL {
+                return None;
+            }
+            let cur = i;
+            let s = &self.slots[cur as usize];
+            i = s.next;
+            Some((cur, s))
+        })
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free = NIL;
     }
 }
 
@@ -107,15 +184,19 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with pre-allocated capacity for the
-    /// in-order staging buffer and the far-future overflow.
+    /// Creates an empty queue whose event slab has room for `cap` pending
+    /// events before it reallocates.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            now_buf: VecDeque::with_capacity(cap.min(4096)),
-            wheel: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            slab: Slab {
+                slots: Vec::with_capacity(cap),
+                free: NIL,
+            },
+            now_buf: VecDeque::new(),
+            wheel: Box::new([EMPTY_BUCKET; BUCKETS]),
             occupied: [0; WORDS],
             active_abs: 0,
-            overflow: BinaryHeap::with_capacity(cap.min(64)),
+            overflow: BinaryHeap::new(),
             seq: 0,
             len: 0,
             popped: 0,
@@ -128,27 +209,35 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.len += 1;
+        let i = self.slab.insert(at, seq, event);
         let abs = bucket_of(at);
         if abs <= self.active_abs {
             // The bucket was already materialized: insert in exact order.
             // `seq` is larger than every resident entry, so placing the
             // event after all entries at `<= at` preserves FIFO stability.
             let idx = self.now_buf.partition_point(|e| e.0 <= at);
-            self.now_buf.insert(idx, (at, seq, event));
+            self.now_buf.insert(idx, (at, i));
         } else if abs - self.active_abs <= BUCKETS as u64 {
-            let slot = (abs & MASK) as usize;
-            self.wheel[slot].push((at, seq, event));
-            self.occupied[slot / 64] |= 1 << (slot % 64);
+            self.link((abs & MASK) as usize, i);
         } else {
-            self.overflow.push(Entry {
-                key: Reverse((at, seq)),
-                event,
-            });
+            self.overflow.push(Reverse((at, seq, i)));
         }
         let cached = self.cached_peek.get();
         if cached != DIRTY && at.as_ps() < cached {
             self.cached_peek.set(at.as_ps());
         }
+    }
+
+    /// Appends unlinked slab slot `i` to wheel bucket `b`.
+    fn link(&mut self, b: usize, i: u32) {
+        let bucket = &mut self.wheel[b];
+        if bucket.tail == NIL {
+            bucket.head = i;
+            self.occupied[b / 64] |= 1 << (b % 64);
+        } else {
+            self.slab.slots[bucket.tail as usize].next = i;
+        }
+        bucket.tail = i;
     }
 
     /// Removes and returns the earliest event with its scheduled time.
@@ -170,7 +259,8 @@ impl<E> EventQueue<E> {
         if self.now_buf.front().map(|e| e.0 <= limit) != Some(true) {
             return None;
         }
-        let (t, _, event) = self.now_buf.pop_front().expect("refilled non-empty");
+        let (t, i) = self.now_buf.pop_front().expect("refilled non-empty");
+        let event = self.slab.remove(i);
         self.len -= 1;
         self.popped += 1;
         let next = match self.now_buf.front() {
@@ -200,7 +290,8 @@ impl<E> EventQueue<E> {
             if n == 0 {
                 break;
             }
-            out.extend(self.now_buf.drain(..n).map(|(t, _, e)| (t, e)));
+            let slab = &mut self.slab;
+            out.extend(self.now_buf.drain(..n).map(|(t, i)| (t, slab.remove(i))));
             self.len -= n;
             self.popped += n as u64;
             if !self.now_buf.is_empty() || self.len == 0 {
@@ -226,30 +317,34 @@ impl<E> EventQueue<E> {
         loop {
             // Overflow events the advancing window now covers belong in
             // the wheel, where they merge with same-bucket residents.
-            while let Some(top) = self.overflow.peek() {
-                let abs = bucket_of(top.key.0 .0);
+            while let Some(&Reverse((at, _, i))) = self.overflow.peek() {
+                let abs = bucket_of(at);
                 if abs > self.active_abs + BUCKETS as u64 {
                     break;
                 }
-                let e = self.overflow.pop().expect("peeked");
-                let slot = (abs & MASK) as usize;
-                self.wheel[slot].push((e.key.0 .0, e.key.0 .1, e.event));
-                self.occupied[slot / 64] |= 1 << (slot % 64);
+                self.overflow.pop();
+                self.link((abs & MASK) as usize, i);
             }
             if let Some(abs) = self.next_occupied_abs() {
-                let slot = (abs & MASK) as usize;
-                self.occupied[slot / 64] &= !(1 << (slot % 64));
+                let b = (abs & MASK) as usize;
+                self.occupied[b / 64] &= !(1 << (b % 64));
+                let head = std::mem::replace(&mut self.wheel[b], EMPTY_BUCKET).head;
+                self.now_buf
+                    .extend(self.slab.list(head).map(|(i, s)| (s.at, i)));
                 // (time, seq) keys are unique, so an unstable sort yields
                 // the same order a stable one would.
-                self.wheel[slot].sort_unstable_by_key(|e| (e.0, e.1));
-                self.now_buf.extend(self.wheel[slot].drain(..));
+                let slots = &self.slab.slots;
+                self.now_buf.make_contiguous().sort_unstable_by(|a, b| {
+                    a.0.cmp(&b.0)
+                        .then_with(|| slots[a.1 as usize].seq.cmp(&slots[b.1 as usize].seq))
+                });
                 self.active_abs = abs;
                 return;
             }
             // The whole window is empty: jump to just before the earliest
             // far-future event and let the migration above pull it in.
-            let top = self.overflow.peek().expect("len > 0 but queue drained");
-            self.active_abs = bucket_of(top.key.0 .0) - 1;
+            let Reverse((at, _, _)) = self.overflow.peek().expect("len > 0 but queue drained");
+            self.active_abs = bucket_of(*at) - 1;
         }
     }
 
@@ -296,10 +391,10 @@ impl<E> EventQueue<E> {
             return Some(e.0);
         }
         let wheel_min = self.next_occupied_abs().and_then(|abs| {
-            let slot = (abs & MASK) as usize;
-            self.wheel[slot].iter().map(|e| e.0).min()
+            let head = self.wheel[(abs & MASK) as usize].head;
+            self.slab.list(head).map(|(_, s)| s.at).min()
         });
-        let over_min = self.overflow.peek().map(|e| e.key.0 .0);
+        let over_min = self.overflow.peek().map(|Reverse((at, _, _))| *at);
         match (wheel_min, over_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -324,31 +419,20 @@ impl<E> EventQueue<E> {
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.now_buf.clear();
-        for w in 0..WORDS {
-            let mut bits = self.occupied[w];
-            while bits != 0 {
-                let slot = w * 64 + bits.trailing_zeros() as usize;
-                self.wheel[slot].clear();
-                bits &= bits - 1;
-            }
-            self.occupied[w] = 0;
-        }
+        self.wheel.fill(EMPTY_BUCKET);
+        self.occupied = [0; WORDS];
         self.overflow.clear();
+        self.slab.clear();
         self.len = 0;
         self.cached_peek.set(EMPTY);
     }
 
     /// Iterates over pending events in arbitrary order (diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = (Time, &E)> {
-        self.now_buf
+        self.slab
+            .slots
             .iter()
-            .map(|e| (e.0, &e.2))
-            .chain(
-                self.wheel
-                    .iter()
-                    .flat_map(|b| b.iter().map(|e| (e.0, &e.2))),
-            )
-            .chain(self.overflow.iter().map(|e| (e.key.0 .0, &e.event)))
+            .filter_map(|s| s.event.as_ref().map(|e| (s.at, e)))
     }
 }
 
@@ -641,5 +725,41 @@ mod tests {
             assert_eq!(q.pop(), Some((Time::from_ps(t), s)));
         }
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn slab_never_outgrows_peak_pending() {
+        // A long run that keeps between 1 and K events pending, mixing
+        // near, same-bucket and far-future pushes with single pops, batch
+        // drains and one mid-run clear: the LIFO free list must recycle
+        // slots so the slab never holds more than K of them.
+        const K: usize = 48;
+        let mut rng = SplitMix64::new(0x51AB);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut now = 0u64;
+        let mut out = Vec::new();
+        for step in 0..200_000u64 {
+            while q.len() < K && rng.next_below(3) != 0 {
+                let dt = match rng.next_below(16) {
+                    0 => 2_000_000 + rng.next_below(8_000_000),
+                    1 => 0,
+                    _ => rng.next_below(20_000),
+                };
+                q.push(Time::from_ps(now + dt), step);
+            }
+            if rng.next_below(4) == 0 {
+                out.clear();
+                let limit = q.peek_time().map_or(now, |t| t.as_ps() + 2_000);
+                q.pop_until(Time::from_ps(limit), &mut out);
+                now = out.last().map_or(now, |e| e.0.as_ps());
+            } else if let Some((t, _)) = q.pop() {
+                now = t.as_ps();
+            }
+            if step == 100_000 {
+                q.clear();
+            }
+            assert!(q.slab.slots.len() <= K, "slab grew past {K} at step {step}");
+        }
+        assert_eq!(q.slab.slots.len(), K, "the run never reached K pending");
     }
 }

@@ -182,7 +182,11 @@ fn event_queue_is_stable_sorted() {
 /// produce exactly the `(time, seq)` pop order of a reference
 /// `BinaryHeap` model — including pathological cases that cross the
 /// wheel horizon (refresh-scale far-future events) and same-instant
-/// FIFO runs.
+/// FIFO runs. Every removal path is exercised against the same model:
+/// single `pop`s, `pop_until` batches (the simulation hot path),
+/// `pop_before` with a limit below the head (must leave the queue
+/// untouched), and a mid-stream `clear()` followed by more pushes into
+/// recycled slab slots (the device-reset path).
 #[test]
 fn event_queue_matches_heap_reference_model() {
     use std::cmp::Reverse;
@@ -192,31 +196,69 @@ fn event_queue_matches_heap_reference_model() {
         let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut t_base = 0u64;
+        let mut batch = Vec::new();
         let ops = 400 + rng.next_below(400);
         for _ in 0..ops {
-            match rng.next_below(10) {
+            match rng.next_below(20) {
                 // Push near-future (common case: within a few buckets).
-                0..=4 => {
+                0..=8 => {
                     let t = t_base + rng.next_below(50_000);
                     q.push(Time::from_ps(t), seq);
                     model.push(Reverse((t, seq)));
                     seq += 1;
                 }
                 // Push far-future (overflow horizon: refresh, thermal).
-                5 => {
+                9..=10 => {
                     let t = t_base + 1_000_000 + rng.next_below(20_000_000);
                     q.push(Time::from_ps(t), seq);
                     model.push(Reverse((t, seq)));
                     seq += 1;
                 }
                 // Same-instant FIFO burst.
-                6 => {
+                11..=12 => {
                     let t = t_base + rng.next_below(10_000);
                     for _ in 0..rng.next_below(6) + 2 {
                         q.push(Time::from_ps(t), seq);
                         model.push(Reverse((t, seq)));
                         seq += 1;
                     }
+                }
+                // Batch-drain a window, like an epoch advance: the batch
+                // must be exactly the model's events at or before `limit`.
+                13..=15 => {
+                    let limit = t_base + rng.next_below(200_000);
+                    batch.clear();
+                    let n = q.pop_until(Time::from_ps(limit), &mut batch);
+                    assert_eq!(n, batch.len());
+                    let mut want = Vec::new();
+                    while model.peek().is_some_and(|Reverse((t, _))| *t <= limit) {
+                        let Reverse((t, s)) = model.pop().expect("peeked");
+                        want.push((Time::from_ps(t), s));
+                    }
+                    assert_eq!(
+                        batch, want,
+                        "pop_until({limit}) diverged after {seq} pushes"
+                    );
+                    if let Some((t, _)) = batch.last() {
+                        t_base = t.as_ps();
+                    }
+                }
+                // A limit strictly below the head pops nothing.
+                16 => {
+                    if let Some(&Reverse((head, _))) = model.peek() {
+                        let limit = head.saturating_sub(1 + rng.next_below(5_000));
+                        if limit < head {
+                            let popped = q.total_popped();
+                            assert_eq!(q.pop_before(Time::from_ps(limit)), None);
+                            assert_eq!(q.total_popped(), popped);
+                        }
+                    }
+                }
+                // Rarely, drop everything mid-stream; later pushes reuse
+                // the queue (and its slab) from scratch.
+                17 if rng.next_below(8) == 0 => {
+                    q.clear();
+                    model.clear();
                 }
                 // Pop and advance the base time, like a simulation loop.
                 _ => {
