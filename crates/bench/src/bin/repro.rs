@@ -1141,6 +1141,10 @@ fn cmd_chain(cfg: &SystemConfig, args: &[String]) {
         eprintln!("--cubes must be in 2..=8 (the CUB field addresses 8 cubes)");
         std::process::exit(2);
     }
+    if obs.frame_us == 0 {
+        eprintln!("--frame-us must be at least 1 (each frame spans simulated time)");
+        std::process::exit(2);
+    }
     let topo = if star {
         Topology::star(cubes)
     } else {

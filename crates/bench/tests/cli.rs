@@ -84,3 +84,22 @@ fn faults_unknown_scenario_exits_2() {
     assert!(err.contains("unknown scenario 'meteor-strike'"), "{err}");
     assert!(out.stdout.is_empty(), "a scenario ran before the rejection");
 }
+
+#[test]
+fn chain_zero_frame_span_exits_2() {
+    let out = repro(&[
+        "chain",
+        "--cubes",
+        "2",
+        "--frame-us",
+        "0",
+        "--dashboard-headless",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--frame-us must be at least 1"), "{err}");
+    assert!(
+        out.stdout.is_empty(),
+        "a dashboard ran before the rejection"
+    );
+}

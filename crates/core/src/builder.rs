@@ -1,12 +1,19 @@
 //! The single construction path for simulated systems.
 //!
-//! Historically every runner wired its own sequence of `System::new` plus
-//! `enable_*` mutator calls, and each new observability feature (tracing,
-//! metrics, sanitizer, faults, failure policies, now topologies) grew the
-//! permutations. [`SystemBuilder`] consolidates them: declare everything
-//! up front, then [`build`](SystemBuilder::build) a single-cube
-//! [`System`] or [`build_chain`](SystemBuilder::build_chain) a multi-cube
-//! [`ChainSystem`] with identical semantics.
+//! Declare the configuration, backend, topology and every observability
+//! and fault knob up front, then build. Every build variant constructs a
+//! [`ChainSystem`] through [`ChainSystem::with_devices`] and applies the
+//! declared knobs in one fixed order; they differ only in which devices
+//! sit behind the hosts and in the type they return:
+//!
+//! * [`build`](SystemBuilder::build) — a single-cube [`System`] with the
+//!   statically typed HMC device;
+//! * [`build_any`](SystemBuilder::build_any) — a single-cube
+//!   [`System`] behind any backend preset;
+//! * [`build_with`](SystemBuilder::build_with) — a single-cube
+//!   [`System`] around a caller-constructed backend;
+//! * [`build_chain`](SystemBuilder::build_chain) — a [`ChainSystem`] of
+//!   any HMC topology.
 //!
 //! ```
 //! use hmc_core::builder::SystemBuilder;
@@ -31,14 +38,15 @@ use sim_engine::FaultScenario;
 
 use crate::backends::{self, AnyBackend};
 use crate::system::{System, SystemConfig};
-use crate::topology::{ChainSystem, Topology};
+use crate::topology::{hmc_cube, ChainSystem, Topology};
 
 /// Declarative constructor for [`System`] and [`ChainSystem`].
 ///
 /// Every observability and fault knob that used to require a post-`new`
-/// `enable_*` call is a chainable method here; the two `build` variants
-/// apply them in one fixed order (policy, tracing, metrics, sanitizer,
-/// faults), so all construction paths behave identically.
+/// `enable_*` call is a chainable method here; every `build` variant
+/// applies them in one fixed order (epoch workers, policy, tracing,
+/// metrics, epoch profiler, sanitizer, faults), so all construction
+/// paths behave identically.
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     cfg: SystemConfig,
@@ -87,9 +95,8 @@ impl SystemBuilder {
 
     /// Pumps chain epochs on `workers` threads instead of sequentially.
     /// Purely a wall-clock knob: results are bit-identical at every
-    /// setting (see [`ChainSystem::set_parallel_shards`]). Ignored by
-    /// [`build`](Self::build) and by single-cube chains, which always run
-    /// the exact serial interleaving.
+    /// setting (see [`ChainSystem::set_parallel_shards`]). Inert on a
+    /// single cube, which has no epochs to spread.
     pub fn parallel_shards(mut self, workers: usize) -> Self {
         self.shards = Some(workers);
         self
@@ -103,8 +110,8 @@ impl SystemBuilder {
     }
 
     /// Arms the deterministic PDES epoch profiler (see
-    /// [`ChainSystem::enable_epoch_profiler`]). Chain-only: ignored by
-    /// [`build`](Self::build), which has no epoch loop to profile.
+    /// [`ChainSystem::enable_epoch_profiler`]). Inert on a single cube,
+    /// which has no epoch loop to profile.
     pub fn epoch_profiler(mut self) -> Self {
         self.profiler = true;
         self
@@ -130,8 +137,8 @@ impl SystemBuilder {
         self
     }
 
-    /// Installs a fault scenario — on the single system, or on *every*
-    /// cube of a chain (matching how a chain shares one workload).
+    /// Installs a fault scenario on *every* cube (the single cube, or
+    /// each cube of a chain, matching how a chain shares one workload).
     /// Scenarios compose; call repeatedly to merge schedules.
     pub fn faults(mut self, scenario: &FaultScenario) -> Self {
         self.faults.push((None, scenario.clone()));
@@ -174,122 +181,14 @@ impl SystemBuilder {
         self
     }
 
-    /// Applies the declared observability and fault knobs to a built
-    /// system, in the one fixed order every build variant shares.
-    fn finish_system<B: MemoryBackend>(self, mut sys: System<B>) -> System<B> {
-        if let Some(policy) = self.policy {
-            sys.set_failure_policy(policy);
-        }
-        if let Some(sample_every) = self.tracing {
-            sys.enable_tracing(sample_every);
-        }
-        if let Some(period) = self.metrics {
-            sys.enable_metrics(period);
-        }
-        match self.sanitizer {
-            Some(Some(span)) => sys.enable_sanitizer_with_span(span),
-            Some(None) => sys.enable_sanitizer(),
-            None => {}
-        }
-        for (_, scenario) in &self.faults {
-            sys.install_faults(scenario);
-        }
-        sys
-    }
-
-    /// Builds a single-cube [`System`] with the concrete HMC device
-    /// (the statically-typed fast path every existing caller uses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a multi-cube [`topology`](SystemBuilder::topology) was
-    /// selected — use [`build_chain`](SystemBuilder::build_chain) — or
-    /// if a non-HMC [`backend`](SystemBuilder::backend) preset was
-    /// selected — use [`build_any`](SystemBuilder::build_any).
-    pub fn build(mut self) -> System {
-        assert_eq!(
-            self.topo.cubes(),
-            1,
-            "multi-cube topology requires build_chain()"
-        );
-        assert!(
-            matches!(self.backend, BackendKind::Hmc | BackendKind::HmcGen3),
-            "backend preset '{}' requires build_any()",
-            self.backend
-        );
-        backends::apply_preset(self.backend, &mut self.cfg);
-        let sys = System::new(self.cfg.clone());
-        self.finish_system(sys)
-    }
-
-    /// Builds a single-cube system around the selected
-    /// [`backend`](SystemBuilder::backend) preset, after the build-time
-    /// address-layout handshake.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-cube topology, or with a diagnostic naming
-    /// both bit-fields when the instantiated backend decodes a shared
-    /// address field differently than the host generates it.
-    pub fn build_any(mut self) -> System<AnyBackend> {
-        assert_eq!(
-            self.topo.cubes(),
-            1,
-            "multi-cube topology requires build_chain()"
-        );
-        backends::apply_preset(self.backend, &mut self.cfg);
-        let device = backends::instantiate(self.backend, &self.cfg);
-        backends::assert_layout_compatible(
-            &device,
-            &backends::host_layout(self.backend, &self.cfg),
-        );
-        let sys = System::with_backend(self.cfg.host.clone(), device);
-        self.finish_system(sys)
-    }
-
-    /// Builds a single-cube system around a caller-constructed backend
-    /// — the checked entry point for custom device models that share
-    /// the host's interleave (DIMM-style backends with no interleave
-    /// contract go through [`build_any`](Self::build_any) presets).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-cube topology, or with a diagnostic naming
-    /// both bit-fields when `device` decodes a shared address field
-    /// differently than the host's configured mapping generates it.
-    pub fn build_with<B: MemoryBackend>(self, device: B) -> System<B> {
-        assert_eq!(
-            self.topo.cubes(),
-            1,
-            "multi-cube topology requires build_chain()"
-        );
-        let host = mem_backend::AddressLayout::of_mapping(
-            "host-interleave",
-            self.cfg.mem.mapping,
-            &self.cfg.mem.spec,
-        );
-        backends::assert_layout_compatible(&device, &host);
-        let sys = System::with_backend(self.cfg.host.clone(), device);
-        self.finish_system(sys)
-    }
-
-    /// Builds a [`ChainSystem`] of the selected topology (any cube count,
-    /// including the single-cube identity topology).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-HMC [`backend`](SystemBuilder::backend) preset
-    /// was selected: cube chaining is an HMC-specification feature (the
-    /// hop links are HMC pass-through serializers), so chains are
-    /// HMC-family only.
-    pub fn build_chain(mut self) -> ChainSystem {
-        assert!(
-            matches!(self.backend, BackendKind::Hmc | BackendKind::HmcGen3),
-            "backend preset '{}' cannot form a cube chain; chaining is HMC-family only",
-            self.backend
-        );
-        backends::apply_preset(self.backend, &mut self.cfg);
-        let mut sys = ChainSystem::new(self.cfg, self.topo);
+    /// Builds the system around the devices `factory` makes per cube and
+    /// applies the declared knobs, in the one fixed order every build
+    /// variant shares.
+    fn finish<B: MemoryBackend>(
+        self,
+        factory: impl FnMut(usize, &SystemConfig) -> B,
+    ) -> ChainSystem<B> {
+        let mut sys = ChainSystem::with_devices(self.cfg, self.topo, factory);
         if let Some(workers) = self.shards {
             sys.set_parallel_shards(workers);
         }
@@ -321,6 +220,105 @@ impl SystemBuilder {
             }
         }
         sys
+    }
+
+    /// Panics unless the declared topology is the single cube.
+    fn assert_single_cube(&self) {
+        assert_eq!(
+            self.topo.cubes(),
+            1,
+            "multi-cube topology requires build_chain()"
+        );
+    }
+
+    /// Builds the single cube around an already-constructed device.
+    fn finish_single<B: MemoryBackend>(self, device: B) -> System<B> {
+        let mut device = Some(device);
+        System {
+            chain: self.finish(|_, _| device.take().expect("a single cube has one device")),
+        }
+    }
+
+    /// Builds a single-cube [`System`] with the concrete HMC device
+    /// (the statically-typed fast path every existing caller uses).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a multi-cube [`topology`](SystemBuilder::topology) was
+    /// selected — use [`build_chain`](SystemBuilder::build_chain) — or
+    /// if a non-HMC [`backend`](SystemBuilder::backend) preset was
+    /// selected — use [`build_any`](SystemBuilder::build_any).
+    pub fn build(mut self) -> System {
+        self.assert_single_cube();
+        assert!(
+            matches!(self.backend, BackendKind::Hmc | BackendKind::HmcGen3),
+            "backend preset '{}' requires build_any()",
+            self.backend
+        );
+        backends::apply_preset(self.backend, &mut self.cfg);
+        System {
+            chain: self.finish(hmc_cube),
+        }
+    }
+
+    /// Builds a single-cube system around the selected
+    /// [`backend`](SystemBuilder::backend) preset, after the build-time
+    /// address-layout handshake.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a multi-cube topology, or with a diagnostic naming
+    /// both bit-fields when the instantiated backend decodes a shared
+    /// address field differently than the host generates it.
+    pub fn build_any(mut self) -> System<AnyBackend> {
+        self.assert_single_cube();
+        backends::apply_preset(self.backend, &mut self.cfg);
+        let device = backends::instantiate(self.backend, &self.cfg);
+        backends::assert_layout_compatible(
+            &device,
+            &backends::host_layout(self.backend, &self.cfg),
+        );
+        self.finish_single(device)
+    }
+
+    /// Builds a single-cube system around a caller-constructed backend
+    /// — the checked entry point for custom device models that share
+    /// the host's interleave (DIMM-style backends with no interleave
+    /// contract go through [`build_any`](Self::build_any) presets).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a multi-cube topology, or with a diagnostic naming
+    /// both bit-fields when `device` decodes a shared address field
+    /// differently than the host's configured mapping generates it.
+    pub fn build_with<B: MemoryBackend>(self, device: B) -> System<B> {
+        self.assert_single_cube();
+        let host = mem_backend::AddressLayout::of_mapping(
+            "host-interleave",
+            self.cfg.mem.mapping,
+            &self.cfg.mem.spec,
+        );
+        backends::assert_layout_compatible(&device, &host);
+        self.finish_single(device)
+    }
+
+    /// Builds a [`ChainSystem`] of the selected topology (any cube count,
+    /// including the single-cube topology).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-HMC [`backend`](SystemBuilder::backend) preset
+    /// was selected: cube chaining is an HMC-specification feature (the
+    /// hop links are HMC pass-through serializers), so chains are
+    /// HMC-family only.
+    pub fn build_chain(mut self) -> ChainSystem {
+        assert!(
+            matches!(self.backend, BackendKind::Hmc | BackendKind::HmcGen3),
+            "backend preset '{}' cannot form a cube chain; chaining is HMC-family only",
+            self.backend
+        );
+        backends::apply_preset(self.backend, &mut self.cfg);
+        self.finish(hmc_cube)
     }
 }
 
@@ -375,6 +373,43 @@ mod tests {
             .topology(Topology::chain(2))
             .build_chain();
         assert_eq!(serial.parallel_shards(), 1);
+    }
+
+    #[test]
+    fn epoch_knobs_are_inert_on_one_cube() {
+        use hmc_host::Workload;
+        use hmc_types::{RequestKind, RequestSize, Time};
+
+        let run = |b: SystemBuilder| {
+            let mut sys = b.sanitizer().build();
+            let armed = (sys.parallel_shards(), sys.epoch_profile().is_some());
+            sys.host_mut().apply_workload(&Workload::full_scale(
+                RequestKind::ReadOnly,
+                RequestSize::MAX,
+            ));
+            sys.host_mut().start(Time::ZERO);
+            sys.run_for(TimeDelta::from_us(50));
+            let s = sys.host().stats();
+            let surface = (
+                sys.events_processed(),
+                sys.now(),
+                s.reads_issued,
+                s.reads_completed,
+                s.counted_bytes,
+                s.read_latency.mean().as_ps(),
+                s.read_latency.count(),
+                sys.sanitizer_report().to_json(),
+            );
+            (armed, surface)
+        };
+        let (plain_armed, plain) = run(SystemBuilder::new(SystemConfig::default()));
+        let (knobs_armed, knobs) = run(SystemBuilder::new(SystemConfig::default())
+            .parallel_shards(4)
+            .epoch_profiler());
+        assert_eq!(plain_armed, (1, false));
+        assert_eq!(knobs_armed, (4, true), "the knobs must reach the cube");
+        assert!(plain.3 > 0, "no traffic — test is vacuous");
+        assert_eq!(plain, knobs, "epoch knobs changed a single-cube run");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use hmc_host::{RobustStats, Workload};
 use hmc_mem::DeviceStats;
 use hmc_types::{RequestKind, RequestSize, Time, TimeDelta};
-use sim_engine::{FaultScenario, SanitizerReport};
+use sim_engine::{json_escape, FaultScenario, SanitizerReport};
 
 use crate::measure::{run_measurement, MeasureConfig};
 use crate::report::{f1, ns, Table};
@@ -283,7 +283,7 @@ pub fn scenarios_json(outcomes: &[ScenarioOutcome]) -> String {
              \"poisoned_responses\":{},\"abandoned\":{},\"links_degraded\":{},\
              \"replayed\":{},\"shutdowns\":{},\"outage_ns\":{},\
              \"issued\":{},\"completed\":{},\"drained\":{},\"violations\":{}}}",
-            o.name,
+            json_escape(&o.name),
             o.bandwidth_gbs,
             o.mrps,
             o.mean_latency_ns,
@@ -381,6 +381,29 @@ mod tests {
     fn scenario_fingerprint_is_deterministic() {
         let run = || run_builtin(&SystemConfig::default(), "noisy-link", &tiny()).unwrap();
         assert_eq!(run().fingerprint(), run().fingerprint());
+    }
+
+    #[test]
+    fn scenario_names_are_escaped_in_json() {
+        let o = ScenarioOutcome {
+            name: "a\"b\\c".into(),
+            bandwidth_gbs: 1.0,
+            mrps: 1.0,
+            mean_latency_ns: 1.0,
+            device_delta: DeviceStats::default(),
+            robust: RobustStats::default(),
+            shutdowns: 0,
+            outage: TimeDelta::ZERO,
+            issued: 1,
+            completed: 1,
+            drained: true,
+            report: SanitizerReport::default(),
+        };
+        let j = scenarios_json(&[o]);
+        assert!(
+            j.starts_with("{\"scenarios\":[{\"name\":\"a\\\"b\\\\c\""),
+            "{j}"
+        );
     }
 
     #[test]

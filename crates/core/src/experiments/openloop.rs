@@ -20,7 +20,7 @@
 
 use hmc_host::{OpenLoopConfig, RobustStats, ShedPolicy, TenantOpenStats, Workload};
 use hmc_types::{RequestKind, RequestSize, Time, TimeDelta};
-use sim_engine::{ArrivalKind, FaultScenario, Histogram, SanitizerReport};
+use sim_engine::{json_escape, ArrivalKind, FaultScenario, Histogram, SanitizerReport};
 
 use crate::builder::SystemBuilder;
 use crate::measure::{run_measurement, MeasureConfig};
@@ -504,7 +504,13 @@ pub fn openloop_json(o: &OpenLoopOutcome) -> String {
                 "{{\"name\":\"{}\",\"offered\":{},\"shed\":{},\
                  \"completed\":{},\"p99_ns\":{},\"slo_ns\":{},\
                  \"slo_frac\":{}}}",
-                tn.name, tn.offered, tn.shed, tn.completed, tn.p99_ns, tn.slo_ns, tn.slo_frac,
+                json_escape(&tn.name),
+                tn.offered,
+                tn.shed,
+                tn.completed,
+                tn.p99_ns,
+                tn.slo_ns,
+                tn.slo_frac,
             ));
         }
         s.push_str("]}");
@@ -601,6 +607,42 @@ mod tests {
         assert!(j.ends_with("]}"));
         use crate::report::JsonReport as _;
         assert_eq!(o.kind(), "openloop");
+    }
+
+    #[test]
+    fn tenant_names_are_escaped_in_json() {
+        let point = LoadPoint {
+            offered_rps: 1.0,
+            offered: 1,
+            admitted: 1,
+            shed: 0,
+            completed: 1,
+            goodput_rps: 1.0,
+            p50_ns: 1.0,
+            p99_ns: 1.0,
+            p999_ns: 1.0,
+            backpressured_frac: 0.0,
+            tenants: vec![TenantPoint {
+                name: "a\"b\\c".into(),
+                offered: 1,
+                shed: 0,
+                completed: 1,
+                p99_ns: 1.0,
+                slo_ns: 1.0,
+                slo_frac: 1.0,
+            }],
+        };
+        let o = OpenLoopOutcome {
+            policy: ShedPolicy::RejectNewest,
+            kind: "poisson",
+            cubes: 1,
+            saturation_rps: 1.0,
+            points: vec![point],
+            drained: true,
+            report: SanitizerReport::default(),
+        };
+        let j = openloop_json(&o);
+        assert!(j.contains("\"name\":\"a\\\"b\\\\c\""), "{j}");
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! thermal and power models, DDR baseline) into a full system and exposes
 //! the paper's experiments as reusable functions:
 //!
-//! * [`system`] — [`System`]: the host + device co-simulation with
-//!   deterministic event interleaving.
+//! * [`system`] — [`System`]: the paper's single cube, host + device
+//!   co-simulated with deterministic event interleaving, as a view over
+//!   a one-cube [`ChainSystem`].
+//! * [`topology`] — [`ChainSystem`]: 1..8 cubes in a chain or star, with
+//!   the event pumps, thermal recovery and watchdog every system runs on.
 //! * [`pattern`] — [`AccessPattern`]: the paper's *k*-bank / *k*-vault
 //!   targeted access patterns expressed as GUPS address masks.
 //! * [`measure`] — warm-up/window measurement runner producing a
@@ -60,8 +63,8 @@ pub use observe::{ObservedChain, ObservedStream, ObservedWindow, TraceReport};
 pub use pattern::AccessPattern;
 pub use report::{JsonReport, Table};
 pub use sanitize::{SanitizedPoint, SanitizedRun};
-pub use system::{RecoveryRecord, System, SystemConfig};
-pub use topology::{Arrangement, ChainSystem, Topology};
+pub use system::{System, SystemConfig};
+pub use topology::{Arrangement, ChainSystem, RecoveryRecord, Topology};
 
 // Re-export the substrate crates so downstream users need only hmc-core.
 pub use ddr_baseline;

@@ -24,7 +24,7 @@ use hmc_types::{Time, TimeDelta};
 use mem_backend::{BackendKind, MemoryBackend};
 use sim_engine::stats::Histogram;
 use sim_engine::trace::{chrome_trace_events, chrome_trace_json, TraceEvent};
-use sim_engine::{EpochProfiler, MetricsSampler};
+use sim_engine::{json_escape, EpochProfiler, MetricsSampler};
 
 use crate::builder::SystemBuilder;
 use crate::report::{f1, Table};
@@ -39,28 +39,13 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Merges the host and device tracers of a finished (or paused)
-    /// system into one report (any backend: the device tracer comes
-    /// through the [`MemoryBackend`] surface).
-    pub fn from_system<B: MemoryBackend>(sys: &System<B>) -> Self {
-        let mut stages: Vec<Histogram> = sys.host().tracer().stage_histograms().to_vec();
-        for (mine, theirs) in stages
-            .iter_mut()
-            .zip(sys.device().tracer().stage_histograms())
-        {
-            mine.merge(theirs);
-        }
-        let mut events: Vec<TraceEvent> = sys.host().tracer().events().to_vec();
-        events.extend_from_slice(sys.device().tracer().events());
-        TraceReport { stages, events }
-    }
-
-    /// Merges every tracer of a chain — each cube's host and device
-    /// tracer plus each shard's hop tracer (stage
-    /// [`Stage::HopLink`]) — into one report. On a single-cube chain the
-    /// hop tracers are empty and this reduces to
-    /// [`from_system`](TraceReport::from_system) semantics.
-    pub fn from_chain(sys: &ChainSystem) -> Self {
+    /// Merges every tracer of a finished (or paused) system — each
+    /// cube's host and device tracer plus each shard's hop tracer (stage
+    /// [`Stage::HopLink`]) — into one report, for any backend (the device
+    /// tracer comes through the [`MemoryBackend`] surface). A single cube
+    /// ([`System`] derefs to its one-cube chain) has an empty hop tracer,
+    /// so its report is host plus device.
+    pub fn from_chain<B: MemoryBackend>(sys: &ChainSystem<B>) -> Self {
         let mut stages = vec![Histogram::new(); Stage::COUNT];
         let mut events: Vec<TraceEvent> = Vec::new();
         for s in 0..sys.cubes() {
@@ -254,7 +239,7 @@ pub fn run_stream_observed(
     ObservedStream {
         latency: stats.read_latency.clone(),
         integrity_failures: stats.integrity_failures,
-        report: TraceReport::from_system(&sys),
+        report: TraceReport::from_chain(&sys),
     }
 }
 
@@ -319,7 +304,7 @@ fn observe_window_on<B: MemoryBackend>(
     let metrics = sys.metrics().expect("metrics were enabled").clone();
     ObservedWindow {
         latency: sys.host().stats().read_latency.clone(),
-        report: TraceReport::from_system(&sys),
+        report: TraceReport::from_chain(&sys),
         metrics,
     }
 }
@@ -416,7 +401,7 @@ pub fn metrics_json(sampler: &MetricsSampler) -> String {
         if i > 0 {
             out.push(',');
         }
-        write!(out, "{{\"name\":\"{}\",\"points\":[", s.name())
+        write!(out, "{{\"name\":\"{}\",\"points\":[", json_escape(s.name()))
             .expect("writing to a String cannot fail");
         for (j, (t, v)) in s.points().iter().enumerate() {
             if j > 0 {
@@ -487,10 +472,18 @@ mod tests {
             .apply_workload(&Workload::read_stream(4, RequestSize::MAX));
         sys.host_mut().start(Time::ZERO);
         assert!(sys.run_until_idle(TimeDelta::from_ms(100)));
-        let report = TraceReport::from_system(&sys);
+        let report = TraceReport::from_chain(&sys);
         assert!(report.events().is_empty());
         let total: u64 = Stage::ALL.iter().map(|s| report.stage(*s).count()).sum();
         assert_eq!(total, 0, "disabled tracers must record nothing");
+    }
+
+    #[test]
+    fn series_names_are_escaped_in_metrics_json() {
+        let mut smp = MetricsSampler::new(TimeDelta::from_us(1));
+        smp.record("tenant.a\"b\\c.queued", Time::ZERO, 1.0);
+        let j = metrics_json(&smp);
+        assert!(j.contains("\"name\":\"tenant.a\\\"b\\\\c.queued\""), "{j}");
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Multi-cube chain/star topologies: N sharded hosts driving N cubes whose
-//! far-side links forward non-local traffic hop by hop.
+//! Chain/star topologies: N sharded hosts driving N cubes whose far-side
+//! links forward non-local traffic hop by hop. With N = 1 this is the
+//! paper's single cube, which [`crate::System`] views without a cube
+//! index.
 //!
 //! The HMC 1.1 specification allows a cube's links to connect to *another
 //! cube* instead of a host; the companion NoC study (Hadidi et al., 2017)
@@ -8,8 +10,8 @@
 //!
 //! * a [`Topology`] describes 1..8 cubes in a daisy [`Arrangement::Chain`]
 //!   or a hub-and-spoke [`Arrangement::Star`];
-//! * every cube keeps its full [`crate::System`]-grade device model; each
-//!   also gets its own sharded host whose generators split a *global*
+//! * every cube keeps its full device model; each also gets its own
+//!   sharded host whose generators split a *global*
 //!   address space with a [`hmc_types::ChainShard`] (cube-first or
 //!   vault-first interleave);
 //! * adjacent cubes are joined by pass-through [`hmc_mem::link::DeviceLink`]
@@ -23,7 +25,7 @@
 //!
 //! # Conservative parallel execution
 //!
-//! The chain is organized as one [`CubeShard`] per cube: host, device,
+//! The chain is organized as one `CubeShard` per cube: host, device,
 //! hop-link serializers, and metrics sampler bundled behind a private
 //! event pump that touches no other cube's state. Cross-cube traffic —
 //! request arrivals, response arrivals, and flow-control credits — moves
@@ -39,11 +41,20 @@
 //! threads is bit-identical to running them sequentially — at every cube
 //! count and every worker count. See DESIGN.md §10 for the protocol.
 //!
-//! A single-cube [`ChainSystem`] executes the exact event interleaving of
-//! [`crate::System`] — bit-identical measurements — because the shard is
-//! the identity function, all seeds collapse to their single-system
-//! values, and the pump degenerates to the same
-//! host→device→credits→sampler order.
+//! A single cube has no edges and no epochs: it runs its own pump, one
+//! host→device→credits→sampler pass per instant, with the shard the
+//! identity function and every per-cube seed salt the identity for cube
+//! 0. Every single-cube figure of the paper runs through that pump.
+//!
+//! # Thermal shutdown and live recovery
+//!
+//! Installed [`FaultScenario`]s flow through the chain: device-level
+//! faults become device events at install time, while thermal spikes act
+//! as time barriers in [`ChainSystem::step_until`] — the system advances
+//! exactly to the spike, evaluates the [`FailurePolicy`] against the
+//! cube's write history, and on shutdown executes the timed
+//! [`RecoveryStep`] sequence (that cube's DRAM lost, its host's in-flight
+//! window replayed), recorded as a [`RecoveryRecord`].
 //!
 //! [`SystemBuilder::parallel_shards`]: crate::SystemBuilder::parallel_shards
 
@@ -68,7 +79,7 @@ use sim_engine::{
     FaultKind, FaultScenario, MetricsSampler, SanitizerReport, Tracer, ViolationClass,
 };
 
-use crate::system::{RecoveryRecord, SystemConfig, Watchdog};
+use crate::system::SystemConfig;
 
 /// Shift giving every sharded host a disjoint request-id range; the high
 /// bits double as the stateless origin-cube routing tag for responses.
@@ -106,8 +117,7 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// A single cube — the degenerate topology whose [`ChainSystem`] is
-    /// bit-identical to [`crate::System`].
+    /// A single cube — the topology [`crate::System`] is built on.
     pub fn single() -> Self {
         Topology::chain(1)
     }
@@ -592,8 +602,7 @@ impl<B: MemoryBackend> CubeShard<B> {
     /// (from the hop agenda), or a metrics sample. Parked request heads
     /// are deliberately excluded — they retry when the event that frees
     /// their next stage fires. Used only on the multi-cube path (the
-    /// single-cube pump mirrors [`crate::System`] exactly, sampler
-    /// excluded).
+    /// single-cube pump looks at the host and device alone).
     fn next_time(&self) -> Option<Time> {
         [
             self.host.next_time(),
@@ -711,9 +720,7 @@ impl<B: MemoryBackend> CubeShard<B> {
             }
         }
         // 6. Metrics samples due by this instant. Hop gauges ride the
-        //    same per-cube sampler as the host and device gauges (the
-        //    single-cube pump has no ports, so its gauge stream stays
-        //    byte-identical to the single-system one).
+        //    same per-cube sampler as the host and device gauges.
         if let Some(mut smp) = self.sampler.take() {
             while let Some(due) = smp.due_before(t) {
                 self.host.sample_metrics(due, &mut smp);
@@ -897,11 +904,49 @@ impl<B: MemoryBackend> EpochShard for CubeShard<B> {
     }
 }
 
-/// A chained (or starred) multi-cube system: N sharded hosts, N cubes,
-/// pass-through links between adjacent cubes. With one cube this executes
-/// the exact [`crate::System`] event interleaving; with more, the cubes
-/// advance as conservative-PDES shards (see the module docs) either
-/// serially or on a worker pool — bit-identically.
+/// One thermal shutdown and its timed recovery, as executed live.
+#[derive(Debug, Clone)]
+pub struct RecoveryRecord {
+    /// The cube that shut down.
+    pub cube: usize,
+    /// Instant the spike crossed the policy limit and the device halted.
+    pub shutdown_at: Time,
+    /// The offending surface temperature, °C.
+    pub surface_c: f64,
+    /// The recovery sequence with the duration charged per step.
+    pub steps: Vec<(RecoveryStep, TimeDelta)>,
+    /// Instant the device accepted traffic again.
+    pub resume_at: Time,
+    /// In-flight requests the host replayed from `resume_at`.
+    pub replayed: usize,
+}
+
+impl RecoveryRecord {
+    /// Total dead time of the cycle.
+    pub fn outage(&self) -> TimeDelta {
+        self.resume_at.since(self.shutdown_at)
+    }
+}
+
+/// Forward-progress watchdog state: outstanding requests with no
+/// retirement for [`Watchdog::span`] of simulated time means the system
+/// wedged (deadlock or livelock) and a diagnostic dump is recorded.
+#[derive(Debug, Clone, Copy)]
+struct Watchdog {
+    /// Simulated time without a retirement before the watchdog trips.
+    span: TimeDelta,
+    /// Fleet-wide completion count at the last observed progress.
+    last_completed: u64,
+    /// Instant of the last observed progress.
+    last_progress: Time,
+    /// Set once tripped so the report carries one dump, not thousands.
+    tripped: bool,
+}
+
+/// A chained (or starred) system of 1..8 cubes: N sharded hosts, N cubes,
+/// pass-through links between adjacent cubes. One cube runs the
+/// single-cube pump; more advance as conservative-PDES shards (see the
+/// module docs) either serially or on a worker pool — bit-identically.
 ///
 /// ```
 /// use hmc_core::topology::{ChainSystem, Topology};
@@ -934,7 +979,7 @@ pub struct ChainSystem<B: MemoryBackend = HmcDevice> {
     /// Pending thermal spikes `(at, °C, cube)`, sorted ascending.
     thermal_spikes: Vec<(Time, f64, usize)>,
     policy: FailurePolicy,
-    recoveries: Vec<(usize, RecoveryRecord)>,
+    recoveries: Vec<RecoveryRecord>,
     /// Deterministic per-shard epoch profiler (armed on demand; the
     /// coordinator feeds it after every epoch barrier).
     profiler: Option<EpochProfiler>,
@@ -946,13 +991,13 @@ pub struct ChainSystem<B: MemoryBackend = HmcDevice> {
 }
 
 impl ChainSystem {
-    /// Builds an idle multi-cube system. Each cube `s` gets:
+    /// Builds an idle system of HMC cubes. Each cube `s` gets:
     ///
     /// * a host sharded over the whole topology, with request-id base
     ///   `s << 48` (ids double as stateless response-routing tags), and a
     ///   per-cube generator-seed salt folded into the configured
     ///   `rng_salt` (the fold is the identity for cube 0, so a
-    ///   single-cube topology draws the exact single-system streams);
+    ///   single-cube topology draws the configured streams);
     /// * a device whose link-fault seeds are salted per cube (base seed
     ///   unchanged for cube 0);
     /// * pass-through hop serializers toward its neighbors, one per
@@ -965,17 +1010,20 @@ impl ChainSystem {
     /// cross-shard message can carry, and therefore the conservative
     /// epoch bound.
     pub fn new(cfg: SystemConfig, topo: Topology) -> Self {
-        let base_seed = cfg.mem.link_seed;
-        ChainSystem::with_devices(cfg, topo, |s, cfg| {
-            let mut mc = cfg.mem.clone();
-            mc.link_seed = base_seed ^ ((s as u64) << 8);
-            HmcDevice::new(mc)
-        })
+        ChainSystem::with_devices(cfg, topo, hmc_cube)
     }
 }
 
+/// The HMC device of cube `s`: the configured device with its link-fault
+/// seed salted per cube (unchanged for cube 0).
+pub(crate) fn hmc_cube(s: usize, cfg: &SystemConfig) -> HmcDevice {
+    let mut mc = cfg.mem.clone();
+    mc.link_seed ^= (s as u64) << 8;
+    HmcDevice::new(mc)
+}
+
 impl<B: MemoryBackend> ChainSystem<B> {
-    /// Builds an idle multi-cube system from a per-cube backend factory —
+    /// Builds an idle system from a per-cube backend factory —
     /// the generic analogue of [`ChainSystem::new`]. The hop links joining
     /// adjacent cubes stay HMC pass-through serializers (cube chaining is
     /// an HMC-specification feature; the backend only replaces what sits
@@ -1267,9 +1315,12 @@ impl<B: MemoryBackend> ChainSystem<B> {
     }
 
     /// Arms the protocol sanitizer on every host and device plus the
-    /// fleet-wide forward-progress watchdog (default span, as
-    /// [`crate::System::enable_sanitizer`]).
+    /// fleet-wide forward-progress watchdog (default span). Enable before
+    /// starting a run; the merged outcome comes from
+    /// [`sanitizer_report`](ChainSystem::sanitizer_report).
     pub fn enable_sanitizer(&mut self) {
+        // Worst legal retirement gap: one fully-loaded bank queue
+        // (120 deep) serializing at tRC ≈ 15 µs; 200 µs means wedged.
         self.enable_sanitizer_with_span(TimeDelta::from_us(200));
     }
 
@@ -1294,8 +1345,8 @@ impl<B: MemoryBackend> ChainSystem<B> {
     }
 
     /// The merged sanitizer outcome: hosts in cube order first, then
-    /// devices — deterministic violation order, and the cube-0 pair comes
-    /// out exactly as [`crate::System::sanitizer_report`] for one cube.
+    /// devices — deterministic violation order (for one cube: host, then
+    /// device).
     pub fn sanitizer_report(&self) -> SanitizerReport {
         let mut r = self.shards[0].host.sanitizer().report();
         for sh in &self.shards[1..] {
@@ -1360,8 +1411,8 @@ impl<B: MemoryBackend> ChainSystem<B> {
         self.policy = policy;
     }
 
-    /// Every `(cube, shutdown/recovery cycle)` executed so far.
-    pub fn recoveries(&self) -> &[(usize, RecoveryRecord)] {
+    /// Every thermal shutdown/recovery cycle executed so far.
+    pub fn recoveries(&self) -> &[RecoveryRecord] {
         &self.recoveries
     }
 
@@ -1383,14 +1434,23 @@ impl<B: MemoryBackend> ChainSystem<B> {
         self.shards.iter().any(|sh| sh.host.is_busy())
     }
 
-    /// Deterministic dump of every cube's occupancies plus hop-port
-    /// backlogs — the watchdog's diagnostic body.
+    /// Deterministic dump of every cube's occupancies, link credits in
+    /// use, and hop-port backlogs — the watchdog's diagnostic body.
     pub fn diagnostic_dump(&self) -> String {
         let mut s = format!("chain wedged at {} ({})\n", self.now, self.topo);
         for sh in &self.shards {
             s.push_str(&format!("-- cube {}\n", sh.idx));
             s.push_str(&sh.host.diagnostic_dump(self.now));
             s.push_str(&sh.device.diagnostic_dump(self.now));
+            let in_use = sh.device.sanitizer().credits_in_use();
+            if !in_use.is_empty() {
+                let links: Vec<String> = in_use
+                    .iter()
+                    .enumerate()
+                    .map(|(l, c)| format!("link {l}={c}"))
+                    .collect();
+                s.push_str(&format!("credits in use per link: {}\n", links.join(", ")));
+            }
             for p in &sh.ports {
                 let tx: usize = (0..sh.links)
                     .map(|l| {
@@ -1424,9 +1484,10 @@ impl<B: MemoryBackend> ChainSystem<B> {
         self.shards.iter().map(|sh| sh.host.outstanding()).sum()
     }
 
-    /// Fleet-wide forward-progress check (same contract as the
-    /// single-system watchdog; the violation lands on cube 0's host
-    /// sanitizer so the merged report carries exactly one dump).
+    /// Feeds the fleet-wide watchdog: records progress, and trips it
+    /// (once) with a diagnostic dump when outstanding requests stop
+    /// retiring. The violation lands on cube 0's host sanitizer so the
+    /// merged report carries exactly one dump.
     fn watchdog_check(&mut self, now: Time) {
         let Some(mut wd) = self.watchdog.take() else {
             return;
@@ -1453,8 +1514,10 @@ impl<B: MemoryBackend> ChainSystem<B> {
     }
 
     /// Advances every component until no event at or before `end`
-    /// remains; per-cube thermal spikes act as barriers exactly as in
-    /// [`crate::System::step_until`].
+    /// remains. Installed thermal spikes act as barriers: the system
+    /// advances exactly to each spike, evaluates the failure policy
+    /// against that cube, and (on shutdown) executes the recovery cycle
+    /// before continuing.
     pub fn step_until(&mut self, end: Time) {
         while let Some(&(at, surface_c, cube)) = self.thermal_spikes.first() {
             if at > end {
@@ -1467,6 +1530,9 @@ impl<B: MemoryBackend> ChainSystem<B> {
         self.step_events_until(end);
     }
 
+    /// Evaluates one thermal spike against the failure policy. The
+    /// write limit applies as soon as the cube has completed any write —
+    /// the paper's ~10 °C earlier write-workload shutdowns.
     fn apply_thermal_spike(&mut self, cube: usize, at: Time, surface_c: f64) {
         let writes = self.shards[cube].device.core_stats().writes_completed > 0;
         match self.policy.check(surface_c, writes) {
@@ -1476,9 +1542,11 @@ impl<B: MemoryBackend> ChainSystem<B> {
         }
     }
 
-    /// One cube's live shutdown/recovery cycle; only that cube's host
-    /// replays its in-flight window (remote requesters rely on their
-    /// robustness layer).
+    /// One cube's live shutdown/recovery cycle: the device halts and
+    /// forgets everything (in-flight packets, queue contents, DRAM data),
+    /// the timed recovery sequence elapses, and that cube's host replays
+    /// its in-flight window from the resume instant (remote requesters
+    /// rely on their robustness layer).
     fn thermal_shutdown(&mut self, cube: usize, at: Time, surface_c: f64) {
         let mut steps = Vec::new();
         let mut resume = at;
@@ -1489,25 +1557,26 @@ impl<B: MemoryBackend> ChainSystem<B> {
         }
         self.shards[cube].device.reset_after_shutdown(resume);
         let replayed = self.shards[cube].host.reset_for_recovery(resume);
+        // The outage is legal dead time, not a wedge: restart the
+        // forward-progress clock at the resume instant.
         if let Some(wd) = &mut self.watchdog {
             wd.last_progress = resume;
         }
         self.now = self.now.max(at);
-        self.recoveries.push((
+        self.recoveries.push(RecoveryRecord {
             cube,
-            RecoveryRecord {
-                shutdown_at: at,
-                surface_c,
-                steps,
-                resume_at: resume,
-                replayed,
-            },
-        ));
+            shutdown_at: at,
+            surface_c,
+            steps,
+            resume_at: resume,
+            replayed,
+        });
     }
 
-    /// The event-pump core. One cube runs the exact [`crate::System`]
-    /// loop; more cubes run the conservative epoch scheduler, serially or
-    /// on the worker pool — all three paths compute bit-identical states.
+    /// The event-pump core of [`ChainSystem::step_until`] (no thermal
+    /// barriers). One cube runs the single-cube pump; more cubes run the
+    /// conservative epoch scheduler, serially or on the worker pool —
+    /// the last two compute bit-identical states.
     fn step_events_until(&mut self, end: Time) {
         if self.shards.len() == 1 {
             self.step_single_until(end);
@@ -1516,9 +1585,10 @@ impl<B: MemoryBackend> ChainSystem<B> {
         }
     }
 
-    /// The single-cube pump: statement for statement the
-    /// [`crate::System::step_events_until`] loop (there are no ports),
-    /// which is what makes single-cube runs bit-identical.
+    /// The single-cube pump. With no ports, no mailbox and no epochs, each
+    /// instant is the earliest host or device event: host first, then
+    /// device (its responses straight to the host), stall credits, due
+    /// metrics samples, and the watchdog.
     fn step_single_until(&mut self, end: Time) {
         loop {
             let sh = &mut self.shards[0];
@@ -1679,7 +1749,7 @@ impl<B: MemoryBackend> ChainSystem<B> {
             }
             let spike = self.thermal_spikes.first().map(|&(t, _, _)| t);
             let next = if self.shards.len() == 1 {
-                // The exact single-system jump computation.
+                // The single-cube pump's own notion of the next instant.
                 let sh = &self.shards[0];
                 [sh.host.next_time(), sh.device.next_time(), spike]
                     .into_iter()

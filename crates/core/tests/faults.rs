@@ -54,7 +54,8 @@ fn write_workload_thermal_spike_shuts_down_and_recovers() {
     );
 
     // Run past the resume instant so the replay executes, then drain.
-    sys.step_until(rec.resume_at + TimeDelta::from_us(200));
+    let resume = rec.resume_at;
+    sys.step_until(resume + TimeDelta::from_us(200));
     sys.host_mut().stop_generation();
     assert!(sys.run_until_idle(TimeDelta::from_ms(50)), "recovery hung");
     sys.sanitize_check_drained();

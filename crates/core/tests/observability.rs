@@ -137,8 +137,8 @@ fn observer_artifacts_are_identical_serial_vs_parallel() {
 
 #[test]
 fn single_cube_chain_report_matches_single_system_report() {
-    // The chain merge path over the identity topology must agree with
-    // the plain single-system merge: same stage totals, no hop spans.
+    // The observed chain runner over the identity topology must agree
+    // with a `System` from `build()`: same stage totals, no hop spans.
     let workload = Workload::read_stream(32, RequestSize::new(64).expect("size"));
     let chain = run_chain_observed(
         &SystemConfig::default(),
@@ -155,7 +155,7 @@ fn single_cube_chain_report_matches_single_system_report() {
     sys.host_mut().apply_workload(&workload);
     sys.host_mut().start(Time::ZERO);
     assert!(sys.run_until_idle(TimeDelta::from_ms(100)));
-    let single = TraceReport::from_system(&sys);
+    let single = TraceReport::from_chain(&sys);
     for s in hmc_core::hmc_types::trace::Stage::ALL {
         assert_eq!(
             chain.report.stage(s).total().as_ps(),

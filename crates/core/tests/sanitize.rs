@@ -66,6 +66,11 @@ fn wedged_device_trips_watchdog_with_diagnostic_dump() {
         .expect("watchdog violation recorded");
     // The violation carries the full diagnostic dump for post-mortem.
     assert!(v.detail.contains("waiting_credit"), "detail: {}", v.detail);
+    assert!(
+        v.detail.contains("credits in use per link: link 0="),
+        "detail: {}",
+        v.detail
+    );
     assert!(!report.is_clean());
 }
 

@@ -1,7 +1,7 @@
 //! Topology regression tests.
 //!
-//! The single-cube [`ChainSystem`] claims to execute the *exact* event
-//! interleaving of [`System`] — these tests pin that claim to the bit
+//! [`System`] is a view over a one-cube [`ChainSystem`] — these tests pin
+//! `System::new` and an explicitly built one-cube chain to the same bits
 //! (`f64::to_bits` on every derived measurement), and pin the multi-cube
 //! pump to deterministic re-execution under an adverse (noisy-link,
 //! sanitizer-armed) configuration.

@@ -73,7 +73,7 @@ pub use pdes::{EpochProfiler, EpochSample, PoolUtilization};
 pub use queue::BoundedQueue;
 pub use regress::LinearFit;
 pub use rng::SplitMix64;
-pub use sanitize::{BankOp, Sanitizer, SanitizerReport, Violation, ViolationClass};
+pub use sanitize::{json_escape, BankOp, Sanitizer, SanitizerReport, Violation, ViolationClass};
 pub use series::TimeSeries;
 pub use stats::{BandwidthMeter, Counter, Histogram, TimeWeighted};
 pub use token::TokenBucket;

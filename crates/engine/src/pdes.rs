@@ -254,7 +254,7 @@ pub struct ShardEpochProfile {
     pub occupied: TimeDelta,
     /// Total head-of-line parking time.
     pub parked: TimeDelta,
-    /// Retained busy-epoch spans (capped at [`EPOCH_SPAN_CAP`]).
+    /// Retained busy-epoch spans (capped at 4096 per shard).
     pub spans: Vec<EpochSpan>,
     /// Busy epochs whose spans were dropped once the cap was reached.
     pub dropped_spans: u64,

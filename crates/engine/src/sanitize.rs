@@ -643,9 +643,9 @@ impl fmt::Display for SanitizerReport {
     }
 }
 
-/// Minimal JSON string escaping for violation details (quotes,
-/// backslashes, and the newlines of diagnostic dumps).
-fn json_escape(s: &str) -> String {
+/// Minimal JSON string escaping: quotes, backslashes, and control
+/// characters (the newlines of diagnostic dumps, user-set names).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
