@@ -2,13 +2,17 @@
 //!
 //! Usage: `cargo run --release -p hmc-bench --bin repro -- <command> ...`
 //!
-//! Commands (each accepts `--threads N` to fan sweeps across OS threads
-//! and `--json PATH` to export its artifact as JSON):
+//! Commands (each accepts `--threads N` to fan sweeps across OS threads;
+//! all but `figure` accept `--json PATH` to export their artifact as
+//! JSON):
 //!
 //! * `figure <id>...` — print paper tables/figures: `table1`, `table2`,
-//!   `table3`, `fig6`..`fig18`, `baseline`, `readratio`, `kernels`,
-//!   `mapping`, `faults`, `generations`, or `all`. `--breakdown` adds the
-//!   traced per-stage attribution to `fig14`.
+//!   `table3`, `fig6`..`fig18`, `baseline`, `ablations`, `readratio`,
+//!   `kernels`, `mapping`, `faults`, `generations`, `pim`, or `all`. After
+//!   its tables each target prints its paper checks (`hmc_bench::paper`):
+//!   one `[ok]`/`[!!]` row per paper-vs-measured comparison. A missed row
+//!   makes the command exit 1 once every requested target has run.
+//!   `--breakdown` adds the traced per-stage attribution to `fig14`.
 //! * `sweep <trace|metrics|perf> [--backend <kind>]` — observability
 //!   captures: a traced full-scale window as Chrome trace-event JSON
 //!   (Perfetto-loadable), the same window's sampled gauge series, or
@@ -57,59 +61,85 @@
 //!     (simulated time per frame), `--span-us N` (total simulated time),
 //!     `--refresh-ms N` (live repaint pacing).
 //!
-//! Unknown commands or flags print the usage text and exit nonzero (the
-//! pre-subcommand flag aliases were removed after their deprecation
-//! period).
-//!
-//! (The `benches/` targets print the same tables plus paper-vs-measured
-//! verdicts; this binary is the quick interactive entry point.)
+//! Unknown commands, flags or extra arguments print the usage text and
+//! exit 2.
 
-use hmc_bench::{bench_mc, sweep_mc};
+use hmc_bench::{bench_mc, paper, print_comparisons, sweep_mc, Comparison};
 use hmc_core::experiments::{
-    bandwidth, baseline, chain, faults, generations, kernels, latency, mapping, openloop,
-    page_policy, read_ratio, thermal,
+    ablation, bandwidth, baseline, chain, faults, generations, kernels, latency, mapping, openloop,
+    page_policy, read_ratio, structure, thermal,
 };
 use hmc_core::hmc_host::{OpenLoopConfig, ShedPolicy, Workload};
 use hmc_core::hmc_types::CubeInterleave;
-use hmc_core::measure::{run_backend_measurement, BackendMeasurement, MeasureConfig};
+use hmc_core::measure::{
+    run_backend_measurement, run_measurement, BackendMeasurement, MeasureConfig,
+};
 use hmc_core::mem_backend::BackendKind;
 use hmc_core::observe::{run_window_observed, run_window_observed_backend};
 use hmc_core::topology::Topology;
-use hmc_core::{JsonReport, System, SystemBuilder, SystemConfig};
-use hmc_types::packet::{OpKind, TransactionSizes};
-use hmc_types::{HmcSpec, HmcVersion, RequestKind, RequestSize, Time, TimeDelta};
+use hmc_core::{JsonReport, System, SystemBuilder, SystemConfig, Table};
+use hmc_types::{HmcSpec, HmcVersion, LinkConfig, RequestKind, RequestSize, Time, TimeDelta};
 use sim_engine::exec;
 use sim_engine::ArrivalKind;
 
-fn table1() {
-    for v in [HmcVersion::Gen1, HmcVersion::Gen2, HmcVersion::Hmc2] {
-        let s = HmcSpec::of(v);
-        println!(
-            "{}: {} quadrants, {} vaults, {} banks ({} MB each), {} layers",
-            s,
-            s.num_quadrants(),
-            s.num_vaults(),
-            s.total_banks(),
-            s.bank_bytes() >> 20,
-            s.dram_layers(),
-        );
-    }
-}
+/// The PIM projection: host-driven vs in-stack update throughput and the
+/// thermal envelope of logic-layer compute per cooling configuration.
+fn pim(cfg: &SystemConfig, mc: &MeasureConfig) -> Vec<Comparison> {
+    use hmc_core::hmc_thermal::{CoolingConfig, FailurePolicy};
+    use hmc_pim::experiments::{measure_pim, thermal_envelope};
+    use hmc_pim::PimConfig;
 
-fn table2() {
-    println!("size  rd-req  rd-resp  wr-req  wr-resp (flits)");
-    for size in RequestSize::ALL {
-        let rd = TransactionSizes::of(OpKind::Read, size);
-        let wr = TransactionSizes::of(OpKind::Write, size);
-        println!(
-            "{:>5}  {:>6}  {:>7}  {:>6}  {:>7}",
-            size.to_string(),
-            rd.request_flits().count(),
-            rd.response_flits().count(),
-            wr.request_flits().count(),
-            wr.response_flits().count(),
-        );
+    let window = TimeDelta::from_us(200);
+    let host = run_measurement(
+        cfg,
+        &Workload::full_scale(RequestKind::ReadModifyWrite, RequestSize::MIN),
+        mc,
+    );
+    let host_updates = host.host.writes_completed as f64 / mc.window.as_secs_f64();
+    let pim = measure_pim(
+        &cfg.mem,
+        &PimConfig::default(),
+        &CoolingConfig::cfg1(),
+        window,
+    );
+    let mut t = Table::new(
+        "Host-driven vs in-stack updates (16 B read-modify-write)",
+        &["driver", "updates M/s", "mem latency ns", "link GB/s"],
+    );
+    t.row(vec![
+        "host rw over SerDes".into(),
+        format!("{:.1}", host_updates / 1e6),
+        format!("{:.0}", host.mean_latency_ns()),
+        format!("{:.1}", host.bandwidth_gbs),
+    ]);
+    t.row(vec![
+        "PIM in logic layer".into(),
+        format!("{:.1}", pim.ops_per_sec / 1e6),
+        format!("{:.0}", pim.mem_latency_ns),
+        "0.0".into(),
+    ]);
+    println!("{t}");
+
+    let rows = thermal_envelope(
+        &cfg.mem,
+        &PimConfig::default(),
+        &FailurePolicy::default(),
+        window,
+    );
+    let mut et = Table::new(
+        "PIM thermal envelope: max sustainable update rate per cooling config",
+        &["cooling", "max updates M/s", "surface C", "throttled?"],
+    );
+    for r in &rows {
+        et.row(vec![
+            r.cooling.to_string(),
+            format!("{:.1}", r.max_ops_per_sec / 1e6),
+            format!("{:.1}", r.surface_c),
+            if r.unconstrained { "no" } else { "yes" }.into(),
+        ]);
     }
+    println!("{et}");
+    paper::pim_checks(host_updates, &pim, &rows)
 }
 
 /// Output options shared by every target.
@@ -119,64 +149,90 @@ struct Opts {
     breakdown: bool,
 }
 
-fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
+/// Prints one target's tables and returns its paper checks.
+fn run(target: &str, cfg: &SystemConfig, opts: Opts) -> Vec<Comparison> {
     let mc = bench_mc();
     match target {
-        "table1" => table1(),
-        "table2" => table2(),
-        "table3" => println!("{}", thermal::table3()),
-        "fig6" => println!(
-            "{}",
-            bandwidth::figure6_table(&bandwidth::figure6(cfg, &mc))
-        ),
-        "fig7" => println!(
-            "{}",
-            bandwidth::figure7_table(&bandwidth::figure7(cfg, &mc))
-        ),
-        "fig8" => println!(
-            "{}",
-            bandwidth::figure8_table(&bandwidth::figure8(cfg, &mc))
-        ),
-        "fig9" | "fig10" => {
+        "table1" => {
+            println!("{}", structure::table1());
+            paper::table1_checks(&HmcSpec::of(HmcVersion::Gen2), &LinkConfig::ac510())
+        }
+        "table2" => {
+            println!("{}", structure::table2());
+            paper::table2_checks()
+        }
+        "table3" => {
+            println!("{}", thermal::table3());
+            Vec::new()
+        }
+        "fig6" => {
+            let points = bandwidth::figure6(cfg, &mc);
+            println!("{}", bandwidth::figure6_table(&points));
+            paper::fig6_checks(&points)
+        }
+        "fig7" => {
+            let points = bandwidth::figure7(cfg, &mc);
+            println!("{}", bandwidth::figure7_table(&points));
+            paper::fig7_checks(&points)
+        }
+        "fig8" => {
+            let points = bandwidth::figure8(cfg, &mc);
+            println!("{}", bandwidth::figure8_table(&points));
+            paper::fig8_checks(&points)
+        }
+        "fig9" | "fig10" | "fig11" | "fig12" => {
+            let mut all = Vec::new();
             for kind in RequestKind::ALL {
                 let outcomes = thermal::figure9_10(cfg, kind, &mc);
                 if target == "fig9" {
                     println!("{}", thermal::figure9_table(kind, &outcomes));
-                } else {
+                } else if target == "fig10" {
                     println!("{}", thermal::figure10_table(kind, &outcomes));
                 }
+                all.extend(outcomes);
             }
-        }
-        "fig11" | "fig12" => {
-            let mut all = Vec::new();
-            for kind in RequestKind::ALL {
-                all.extend(thermal::figure9_10(cfg, kind, &mc));
-            }
-            if target == "fig11" {
-                println!("{}", thermal::figure11_table(&thermal::figure11(&all)));
-            } else {
-                for line in thermal::figure12(&all, &[50.0, 55.0, 60.0]) {
-                    println!(
-                        "{} hold {:.0} C: {:?}",
-                        line.kind,
-                        line.target_c,
-                        line.points
-                            .iter()
-                            .map(|(b, w)| format!("{b:.1}GB/s->{w:.2}W"))
-                            .collect::<Vec<_>>()
-                    );
+            match target {
+                "fig9" => {
+                    println!("\n{}", paper::FIG9_DIVERGENCE);
+                    paper::fig9_checks(&all)
+                }
+                "fig10" => Vec::new(),
+                "fig11" => {
+                    let fits = thermal::figure11(&all);
+                    println!("{}", thermal::figure11_table(&fits));
+                    paper::fig11_checks(&fits)
+                }
+                _ => {
+                    let lines = thermal::figure12(&all, &[50.0, 55.0, 60.0]);
+                    for line in &lines {
+                        println!(
+                            "{} hold {:.0} C: {:?}",
+                            line.kind,
+                            line.target_c,
+                            line.points
+                                .iter()
+                                .map(|(b, w)| format!("{b:.1}GB/s->{w:.2}W"))
+                                .collect::<Vec<_>>()
+                        );
+                    }
+                    paper::fig12_checks(&lines)
                 }
             }
         }
-        "fig13" => println!(
-            "{}",
-            page_policy::figure13_table(&page_policy::figure13(cfg, &mc))
-        ),
-        "fig14" => {
+        "fig13" => {
+            let points = page_policy::figure13(cfg, &mc);
+            println!("{}", page_policy::figure13_table(&points));
+            let open = page_policy::page_policy_ablation(cfg, &mc);
             println!(
-                "{}",
-                latency::figure14_table(&latency::figure14(cfg, RequestSize::MAX))
+                "## Open-page ablation (linear, 1 vault, 128 B)\n\
+                 closed page: {:.1} GB/s   open page: {:.1} GB/s   row hits: {}\n",
+                open.closed_gbs, open.open_gbs, open.open_row_hits
             );
+            paper::fig13_checks(&points, &open)
+        }
+        "fig14" => {
+            let d128 = latency::figure14(cfg, RequestSize::MAX);
+            println!("{}", latency::figure14_table(&d128));
             if opts.breakdown {
                 let obs = latency::figure14_breakdown(cfg, RequestSize::MAX);
                 println!(
@@ -184,6 +240,7 @@ fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
                     latency::figure14_breakdown_table(&obs, RequestSize::MAX)
                 );
             }
+            paper::fig14_checks(&latency::figure14(cfg, RequestSize::MIN), &d128)
         }
         "fig15" => {
             let pts = latency::figure15(cfg);
@@ -191,18 +248,23 @@ fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
                 let size = RequestSize::new(bytes).expect("valid");
                 println!("{}", latency::figure15_table(size, &pts));
             }
+            paper::fig15_checks(&pts)
         }
-        "fig16" => println!("{}", latency::figure16_table(&latency::figure16(cfg, &mc))),
-        "fig17" => println!(
-            "{}",
-            latency::curves_table("Figure 17", &latency::figure17(cfg, &sweep_mc()))
-        ),
+        "fig16" => {
+            let points = latency::figure16(cfg, &mc);
+            println!("{}", latency::figure16_table(&points));
+            paper::fig16_checks(&points)
+        }
+        "fig17" => {
+            let curves = latency::figure17(cfg, &sweep_mc());
+            println!("{}", latency::curves_table("Figure 17", &curves));
+            paper::fig17_checks(&curves)
+        }
         "fig18" => {
             let sizes = [RequestSize::new(32).expect("valid"), RequestSize::MAX];
-            println!(
-                "{}",
-                latency::curves_table("Figure 18", &latency::figure18(cfg, &sizes, &sweep_mc()))
-            );
+            let curves = latency::figure18(cfg, &sizes, &sweep_mc());
+            println!("{}", latency::curves_table("Figure 18", &curves));
+            paper::fig18_checks(&curves)
         }
         "baseline" => {
             let rows: Vec<_> = [16u64, 64, 128]
@@ -210,33 +272,43 @@ fn run(target: &str, cfg: &SystemConfig, opts: Opts) {
                 .map(|b| baseline::compare(cfg, RequestSize::new(b).expect("valid"), &mc))
                 .collect();
             println!("{}", baseline::baseline_table(&rows));
+            let (hmc_rand, ddr_rand) = baseline::random_access_throughput(cfg, &mc);
+            println!(
+                "Random 128 B read data throughput: HMC {hmc_rand:.1} GB/s vs DDR {ddr_rand:.1} GB/s\n"
+            );
+            paper::baseline_checks(&rows)
+        }
+        "ablations" => {
+            let a = ablation::design_ablations(cfg, &mc, &sweep_mc());
+            println!("{}", ablation::ablations_table(&a));
+            paper::ablation_checks(&a)
         }
         "readratio" => {
             let pts = read_ratio::read_ratio_sweep(cfg, RequestSize::MAX, 10, &mc);
             println!("{}", read_ratio::read_ratio_table(&pts));
+            paper::readratio_checks(&pts)
         }
         "kernels" => {
-            println!(
-                "{}",
-                kernels::kernels_table(&kernels::run_kernels(cfg, &mc))
-            );
+            let results = kernels::run_kernels(cfg, &mc);
+            println!("{}", kernels::kernels_table(&results));
+            paper::kernels_checks(&results)
         }
         "mapping" => {
-            println!(
-                "{}",
-                mapping::mapping_table(&mapping::mapping_ablation(cfg, &mc))
-            );
+            let points = mapping::mapping_ablation(cfg, &mc);
+            println!("{}", mapping::mapping_table(&points));
+            paper::mapping_checks(&points)
         }
         "faults" => {
             let pts = faults::ber_sweep(cfg, &faults::BER_AXIS, &mc);
             println!("{}", faults::faults_table(&pts));
+            paper::faults_checks(&pts)
         }
         "generations" => {
-            println!(
-                "{}",
-                generations::generations_table(&generations::generation_sweep(&mc))
-            );
+            let points = generations::generation_sweep(&mc);
+            println!("{}", generations::generations_table(&points));
+            paper::generations_checks(&points)
         }
+        "pim" => pim(cfg, &mc),
         other => unreachable!("cmd_figure validated target '{other}'"),
     }
 }
@@ -850,7 +922,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <command> [--threads N] [--json PATH]\n\
          commands:\n\
-         \x20 figure <table1|table2|table3|fig6..fig18|baseline|readratio|kernels|mapping|faults|generations|all>... [--breakdown]\n\
+         \x20 figure <table1|table2|table3|fig6..fig18|baseline|ablations|readratio|kernels|mapping|faults|generations|pim|all>... [--breakdown]\n\
          \x20 sweep <trace|metrics|perf> [--backend hmc|hmc-gen3|ddr3-1600|hbm]\n\
          \x20 compare [--quick]\n\
          \x20 sanitize\n\
@@ -887,7 +959,7 @@ fn take_common(args: &[String]) -> (Vec<String>, Option<String>) {
     (rest, json)
 }
 
-const ALL_TARGETS: [&str; 22] = [
+const ALL_TARGETS: [&str; 24] = [
     "table1",
     "table2",
     "table3",
@@ -905,15 +977,23 @@ const ALL_TARGETS: [&str; 22] = [
     "fig17",
     "fig18",
     "baseline",
+    "ablations",
     "readratio",
     "kernels",
     "mapping",
     "faults",
     "generations",
+    "pim",
 ];
 
+/// Runs the requested targets, printing each one's tables and paper
+/// checks; exits 1 after the last target if any check missed.
 fn cmd_figure(cfg: &SystemConfig, args: &[String]) {
-    let (rest, _json) = take_common(args);
+    let (rest, json) = take_common(args);
+    if json.is_some() {
+        eprintln!("figure writes no JSON artifact; drop --json");
+        std::process::exit(2);
+    }
     let mut opts = Opts::default();
     let mut targets: Vec<String> = Vec::new();
     for arg in &rest {
@@ -936,15 +1016,37 @@ fn cmd_figure(cfg: &SystemConfig, args: &[String]) {
         );
         std::process::exit(2);
     }
+    let mut missed = Vec::new();
+    let mut check = |t: &str| {
+        let rows = run(t, cfg, opts);
+        if !rows.is_empty() {
+            print_comparisons(t, &rows);
+        }
+        missed.extend(
+            rows.into_iter()
+                .filter(|r| !r.ok)
+                .map(|r| (t.to_string(), r)),
+        );
+    };
     for arg in &targets {
         if arg == "all" {
             for t in ALL_TARGETS {
                 println!("\n########## {t} ##########");
-                run(t, cfg, opts);
+                check(t);
             }
         } else {
-            run(arg, cfg, opts);
+            check(arg);
         }
+    }
+    if !missed.is_empty() {
+        eprintln!("{} paper check(s) missed:", missed.len());
+        for (t, r) in &missed {
+            eprintln!(
+                "  {t}: {} (paper: {}, measured: {})",
+                r.what, r.paper, r.measured
+            );
+        }
+        std::process::exit(1);
     }
 }
 
@@ -1171,14 +1273,21 @@ fn main() {
         Some("figure") => cmd_figure(&cfg, &args[1..]),
         Some("sweep") => cmd_sweep(&cfg, &args[1..]),
         Some("sanitize") => {
-            let (_, json) = take_common(&args[1..]);
+            let (rest, json) = take_common(&args[1..]);
+            if !rest.is_empty() {
+                usage();
+            }
             if !run_sanitize(&cfg, json.as_deref()) {
                 std::process::exit(1);
             }
         }
         Some("faults") => {
             let (rest, json) = take_common(&args[1..]);
-            let which = rest.first().map(String::as_str).unwrap_or("all");
+            let which = match rest.as_slice() {
+                [] => "all",
+                [w] if !w.starts_with("--") => w.as_str(),
+                _ => usage(),
+            };
             if !run_faults(&cfg, which, json.as_deref()) {
                 std::process::exit(1);
             }

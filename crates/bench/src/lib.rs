@@ -1,10 +1,12 @@
-//! Shared infrastructure for the benchmark harness: the paper's reference
-//! numbers and the paper-vs-measured comparison printer.
+//! Shared infrastructure for the `repro` CLI: the measurement windows, the
+//! paper's reference numbers and checks ([`paper`]), and the
+//! paper-vs-measured comparison printer.
 //!
-//! Every `benches/` target regenerates one table or figure of the paper
-//! and prints (a) the reproduced rows/series and (b) a paper-vs-measured
-//! summary of the headline quantities. `cargo bench --workspace` therefore
-//! emits the full reproduction record (tee it into `bench_output.txt`).
+//! `repro figure <target>` regenerates one table or figure of the paper
+//! and prints (a) the reproduced rows/series and (b) its paper checks, one
+//! `[ok]`/`[!!]` row per headline quantity; a missed check makes it exit
+//! with status 1. `repro figure all` is the full reproduction record. The
+//! `benches/` targets measure the simulator itself, not the paper.
 
 use hmc_core::measure::MeasureConfig;
 use hmc_types::TimeDelta;
@@ -12,7 +14,7 @@ use hmc_types::TimeDelta;
 pub mod dashboard;
 pub mod paper;
 
-/// The measurement window benches use. Set `HMC_BENCH_FAST=1` to shrink it
+/// The measurement window `repro` uses. Set `HMC_BENCH_FAST=1` to shrink it
 /// (useful in CI) at some cost in measurement noise.
 pub fn bench_mc() -> MeasureConfig {
     // The fast-mode switch scales the measurement window only; every

@@ -62,7 +62,7 @@ pub fn ber_sweep(cfg: &SystemConfig, bers: &[f64], mc: &MeasureConfig) -> Vec<Fa
         .collect()
 }
 
-/// The sweep the bench target runs.
+/// The sweep `repro figure faults` runs.
 pub const BER_AXIS: [f64; 5] = [0.0, 1e-9, 1e-7, 1e-6, 1e-5];
 
 /// Renders the sweep.
